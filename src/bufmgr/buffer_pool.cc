@@ -1,5 +1,6 @@
 #include "bufmgr/buffer_pool.h"
 
+#include <algorithm>
 #include <chrono>
 #include <string>
 
@@ -28,26 +29,38 @@ inline uint64_t Mix64(uint64_t x) {
   return x;
 }
 
+// The one list of BufferPoolStats fields: `op(into.field, from.field)` for
+// each. Accumulate and Subtract both walk it.
+template <typename Op>
+void ForEachStatField(BufferPoolStats* into, const BufferPoolStats& from,
+                      Op op) {
+  op(into->fetches, from.fetches);
+  op(into->buffer_hits, from.buffer_hits);
+  op(into->prefetch_hits, from.prefetch_hits);
+  op(into->prefetch_wait_hits, from.prefetch_wait_hits);
+  op(into->os_cache_copies, from.os_cache_copies);
+  op(into->disk_seq_reads, from.disk_seq_reads);
+  op(into->disk_random_reads, from.disk_random_reads);
+  op(into->evictions, from.evictions);
+  op(into->uncached_reads, from.uncached_reads);
+  op(into->prefetches_started, from.prefetches_started);
+  op(into->prefetches_rejected, from.prefetches_rejected);
+  op(into->prefetch_wait_us, from.prefetch_wait_us);
+  op(into->read_retries, from.read_retries);
+  op(into->corrupt_retries, from.corrupt_retries);
+  op(into->failed_fetches, from.failed_fetches);
+  op(into->hedged_reads, from.hedged_reads);
+  op(into->hedge_wins, from.hedge_wins);
+}
+
 }  // namespace
 
 void AccumulateStats(BufferPoolStats* into, const BufferPoolStats& from) {
-  into->fetches += from.fetches;
-  into->buffer_hits += from.buffer_hits;
-  into->prefetch_hits += from.prefetch_hits;
-  into->prefetch_wait_hits += from.prefetch_wait_hits;
-  into->os_cache_copies += from.os_cache_copies;
-  into->disk_seq_reads += from.disk_seq_reads;
-  into->disk_random_reads += from.disk_random_reads;
-  into->evictions += from.evictions;
-  into->uncached_reads += from.uncached_reads;
-  into->prefetches_started += from.prefetches_started;
-  into->prefetches_rejected += from.prefetches_rejected;
-  into->prefetch_wait_us += from.prefetch_wait_us;
-  into->read_retries += from.read_retries;
-  into->corrupt_retries += from.corrupt_retries;
-  into->failed_fetches += from.failed_fetches;
-  into->hedged_reads += from.hedged_reads;
-  into->hedge_wins += from.hedge_wins;
+  ForEachStatField(into, from, [](auto& a, auto b) { a += b; });
+}
+
+void SubtractStats(BufferPoolStats* into, const BufferPoolStats& from) {
+  ForEachStatField(into, from, [](auto& a, auto b) { a -= b; });
 }
 
 BufferPool::Guard::Guard(const BufferPool* pool, Shard* shard, bool profile)
@@ -86,7 +99,11 @@ BufferPool::Guard::~Guard() {
 
 BufferPool::BufferPool(const Options& options, OsPageCache* os_cache,
                        const LatencyModel& latency)
-    : options_(options), os_cache_(os_cache), latency_(latency) {
+    : options_(options),
+      os_cache_(os_cache),
+      latency_(latency),
+      wait_hits_counter_(
+          &MetricsRegistry::Global().counter("bufmgr.prefetch_wait_hits")) {
   const size_t n = options.num_shards == 0 ? 1 : options.num_shards;
   options_.num_shards = n;
   shards_.reserve(n);
@@ -98,6 +115,7 @@ BufferPool::BufferPool(const Options& options, OsPageCache* os_cache,
                        (s < options.capacity_pages % n ? 1 : 0);
     shard->frames.resize(cap);
     shard->free_list.reserve(cap);
+    shard->unpinned_arrivals.reserve(cap);
     for (size_t i = cap; i > 0; --i) shard->free_list.push_back(i - 1);
     shard->policy = MakeReplacementPolicy(options.policy, cap);
     shard->rng = Pcg32(Mix64(options_.seed ^ (0x9e3779b97f4a7c15ULL * s)),
@@ -113,6 +131,26 @@ bool BufferPool::Evictable(const Shard& shard, size_t frame, SimTime now) {
   return true;
 }
 
+void BufferPool::Untrack(Shard* shard, const Frame& f) {
+  if (!f.valid) return;
+  if (f.pin_count > 0) {
+    --shard->pinned;
+  } else if (f.in_flight) {
+    std::vector<SimTime>& v = shard->unpinned_arrivals;
+    v.erase(std::lower_bound(v.begin(), v.end(), f.arrival));
+  }
+}
+
+void BufferPool::Track(Shard* shard, const Frame& f) {
+  if (!f.valid) return;
+  if (f.pin_count > 0) {
+    ++shard->pinned;
+  } else if (f.in_flight) {
+    std::vector<SimTime>& v = shard->unpinned_arrivals;
+    v.insert(std::upper_bound(v.begin(), v.end(), f.arrival), f.arrival);
+  }
+}
+
 int64_t BufferPool::AllocateFrame(Shard* shard, SimTime now) {
   if (!shard->free_list.empty()) {
     const size_t f = shard->free_list.back();
@@ -126,6 +164,9 @@ int64_t BufferPool::AllocateFrame(Shard* shard, SimTime now) {
   const size_t f = *victim;
   shard->page_table.erase(shard->frames[f].page);
   shard->policy->OnRemove(f);
+  // Evictable means unpinned, so only a landed-but-unconsumed prefetch
+  // leaves anything to untrack here.
+  Untrack(shard, shard->frames[f]);
   shard->frames[f] = Frame();
   ++shard->stats.evictions;
   return static_cast<int64_t>(f);
@@ -147,12 +188,15 @@ Result<FetchResult> BufferPool::FetchPage(PageId page, SimTime now) {
       result.prefetch_wait_us = f.arrival - now;
       shard.stats.prefetch_wait_us += result.prefetch_wait_us;
       ++shard.stats.prefetch_wait_hits;
-      MetricsRegistry::Global().counter("bufmgr.prefetch_wait_hits")
-          .Increment();
+      wait_hits_counter_->Increment();
       PYTHIA_TRACE_INSTANT("bufmgr", "prefetch.wait", now, "wait_us",
                            result.prefetch_wait_us, "page", page.page_no);
     }
-    f.in_flight = false;
+    if (f.in_flight) {
+      Untrack(&shard, f);
+      f.in_flight = false;
+      Track(&shard, f);
+    }
     result.latency_us = result.prefetch_wait_us + latency_.buffer_hit_us;
     result.source = AccessSource::kBufferHit;
     // First consumption of a prefetched frame gets the prefetch credit
@@ -238,6 +282,7 @@ Result<FetchResult> BufferPool::FetchPage(PageId page, SimTime now) {
     ++shard.stats.uncached_reads;
     return result;
   }
+  // A demand-read frame is unpinned and landed: nothing to track.
   Frame& f = shard.frames[static_cast<size_t>(frame)];
   f.page = page;
   f.valid = true;
@@ -257,7 +302,11 @@ Status BufferPool::StartPrefetch(PageId page, SimTime completion, bool pin,
   if (it != shard.page_table.end()) {
     // Already buffered: just bump its usage (and pin if requested).
     Frame& f = shard.frames[it->second];
-    if (pin) ++f.pin_count;
+    if (pin) {
+      Untrack(&shard, f);
+      ++f.pin_count;
+      Track(&shard, f);
+    }
     shard.policy->OnAccess(it->second);
     return Status::OK();
   }
@@ -273,6 +322,7 @@ Status BufferPool::StartPrefetch(PageId page, SimTime completion, bool pin,
   f.installed_by_prefetch = true;
   f.pin_count = pin ? 1 : 0;
   f.arrival = completion;
+  Track(&shard, f);
   shard.page_table[page] = static_cast<size_t>(frame);
   shard.policy->OnInsert(static_cast<size_t>(frame));
   ++shard.stats.prefetches_started;
@@ -283,17 +333,23 @@ void BufferPool::Pin(PageId page) {
   Shard& shard = *shards_[ShardOf(page)];
   Guard guard(this, &shard);
   auto it = shard.page_table.find(page);
-  if (it != shard.page_table.end()) ++shard.frames[it->second].pin_count;
+  if (it == shard.page_table.end()) return;
+  Frame& f = shard.frames[it->second];
+  Untrack(&shard, f);
+  ++f.pin_count;
+  Track(&shard, f);
 }
 
 void BufferPool::Unpin(PageId page) {
   Shard& shard = *shards_[ShardOf(page)];
   Guard guard(this, &shard);
   auto it = shard.page_table.find(page);
-  if (it != shard.page_table.end() &&
-      shard.frames[it->second].pin_count > 0) {
-    --shard.frames[it->second].pin_count;
-  }
+  if (it == shard.page_table.end()) return;
+  Frame& f = shard.frames[it->second];
+  if (f.pin_count == 0) return;
+  Untrack(&shard, f);
+  --f.pin_count;
+  Track(&shard, f);
 }
 
 bool BufferPool::Contains(PageId page) const {
@@ -332,9 +388,7 @@ size_t BufferPool::pinned_frames() const {
   size_t n = 0;
   for (const auto& shard : shards_) {
     Guard guard(this, shard.get(), /*profile=*/false);
-    for (const Frame& f : shard->frames) {
-      if (f.valid && f.pin_count > 0) ++n;
-    }
+    n += shard->pinned;
   }
   return n;
 }
@@ -344,10 +398,9 @@ double BufferPool::UnevictablePressure(SimTime now) const {
   size_t n = 0;
   for (const auto& shard : shards_) {
     Guard guard(this, shard.get(), /*profile=*/false);
-    for (const Frame& f : shard->frames) {
-      if (!f.valid) continue;
-      if (f.pin_count > 0 || (f.in_flight && f.arrival > now)) ++n;
-    }
+    const std::vector<SimTime>& v = shard->unpinned_arrivals;
+    const auto landed = std::upper_bound(v.begin(), v.end(), now);
+    n += shard->pinned + static_cast<size_t>(v.end() - landed);
   }
   return static_cast<double>(n) / static_cast<double>(options_.capacity_pages);
 }
@@ -387,6 +440,8 @@ void BufferPool::Reset() {
     Guard guard(this, shard.get(), /*profile=*/false);
     for (Frame& f : shard->frames) f = Frame();
     shard->page_table.clear();
+    shard->pinned = 0;
+    shard->unpinned_arrivals.clear();
     shard->free_list.clear();
     for (size_t i = shard->frames.size(); i > 0; --i) {
       shard->free_list.push_back(i - 1);

@@ -57,6 +57,8 @@
 
 namespace pythia {
 
+class Counter;
+
 struct FetchResult {
   SimTime latency_us = 0;
   AccessSource source = AccessSource::kBufferHit;
@@ -99,9 +101,11 @@ struct BufferPoolStats {
   uint64_t hedge_wins = 0;          // of those, hedge beat the slow primary
 };
 
-// Adds `from` into `into`, field by field. Shard merges and replay deltas
-// both reduce with this, so a new counter only has to be added here once.
+// Adds `from` into `into` / subtracts `from` from `into`, field by field.
+// Shard merges reduce with the first and replay deltas with the second; both
+// walk one field list, so a new counter only has to be added there once.
 void AccumulateStats(BufferPoolStats* into, const BufferPoolStats& from);
+void SubtractStats(BufferPoolStats* into, const BufferPoolStats& from);
 
 // Wall-clock mutex contention evidence, merged over shards in shard order.
 struct BufferPoolLockStats {
@@ -186,8 +190,15 @@ class BufferPool {
   // are pinned or hold an in-flight prefetch that has not landed yet,
   // aggregated across every shard in shard order. The overload governor's
   // pool-pressure signal — at 1.0 a new fetch must bypass the pool entirely
-  // (uncached_reads).
+  // (uncached_reads). Costs O(shards * log(in-flight frames)), not a frame
+  // scan: each shard keeps its unevictable state current at every frame
+  // transition (see Shard). Exact for any `now`, in any order — the replay
+  // loop evaluates at clocks that move backwards between sessions.
   double UnevictablePressure(SimTime now) const;
+
+  // Test-only reference: the original O(capacity) frame scan that
+  // UnevictablePressure must always equal (bufmgr/buffer_pool_reference.cc).
+  double UnevictablePressureByScan(SimTime now) const;
 
   // Reduce over shards in shard index order. By value now: there is no
   // single stats struct to point into once the pool is partitioned.
@@ -220,6 +231,16 @@ class BufferPool {
     std::vector<size_t> free_list;           // frame indices, shard-local
     std::unordered_map<PageId, size_t> page_table;
     std::unique_ptr<ReplacementPolicy> policy;
+    // Unevictable state, kept current by Untrack/Track around every frame
+    // transition: the number of valid frames with pin_count > 0, and the
+    // sorted arrival times of valid in-flight frames with pin_count == 0
+    // (such a frame is unevictable at `now` iff its arrival > now). Nothing
+    // is pruned by time (callers' `now` is not monotonic); an entry leaves
+    // only when its frame is consumed, pinned, evicted or reset. The vector
+    // is reserved to the frame count, so it never allocates; an insert or
+    // erase shifts its tail, which only unpinned in-flight frames pay.
+    size_t pinned = 0;
+    std::vector<SimTime> unpinned_arrivals;
     BufferPoolStats stats;
     Pcg32 rng;                               // stream = pool seed + index
     // Lock-profile counters; written under `mu` except wait_ns/contended,
@@ -252,11 +273,19 @@ class BufferPool {
   // Caller holds the shard mutex.
   int64_t AllocateFrame(Shard* shard, SimTime now);
   static bool Evictable(const Shard& shard, size_t frame, SimTime now);
+  // Remove frame `f` from / add it to the shard's unevictable state; call
+  // Untrack before mutating a valid frame's pin/in-flight fields and Track
+  // after. Caller holds the shard mutex.
+  static void Untrack(Shard* shard, const Frame& f);
+  static void Track(Shard* shard, const Frame& f);
 
   Options options_;
   OsPageCache* os_cache_;
   LatencyModel latency_;
   std::vector<std::unique_ptr<Shard>> shards_;
+  // Registry mirror of stats.prefetch_wait_hits, taken once: the wait-hit
+  // path runs under the shard lock.
+  Counter* wait_hits_counter_;
 };
 
 }  // namespace pythia

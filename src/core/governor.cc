@@ -21,7 +21,16 @@ const char* DegradationRungName(DegradationRung rung) {
 PrefetchGovernor::PrefetchGovernor(const GovernorOptions& options,
                                    BufferPool* pool, IoScheduler* io,
                                    OsPageCache* os_cache)
-    : options_(options), pool_(pool), io_(io), os_cache_(os_cache) {
+    : options_(options),
+      pool_(pool),
+      io_(io),
+      os_cache_(os_cache),
+      pin_grants_counter_(
+          &MetricsRegistry::Global().counter("overload.pin_grants")),
+      pin_denials_counter_(
+          &MetricsRegistry::Global().counter("overload.pin_denials")),
+      aio_deferrals_counter_(
+          &MetricsRegistry::Global().counter("overload.aio_deferrals")) {
   max_pinned_ = options.max_pinned_pages > 0 ? options.max_pinned_pages
                                              : pool_->capacity() * 3 / 4;
   if (max_pinned_ == 0) max_pinned_ = 1;
@@ -61,7 +70,7 @@ bool PrefetchGovernor::TryAcquirePin(uint64_t session_id, SimTime now) {
   // pages would not free a channel.
   if (outstanding_aio(now) >= max_aio_) {
     ++stats_.aio_deferrals;
-    MetricsRegistry::Global().counter("overload.aio_deferrals").Increment();
+    aio_deferrals_counter_->Increment();
     return false;
   }
 
@@ -77,7 +86,7 @@ bool PrefetchGovernor::TryAcquirePin(uint64_t session_id, SimTime now) {
     }
     if (victim == nullptr) {
       ++stats_.pin_denials;
-      MetricsRegistry::Global().counter("overload.pin_denials").Increment();
+      pin_denials_counter_->Increment();
       PYTHIA_TRACE_INSTANT("overload", "pin.deny", now, "pins",
                            static_cast<uint64_t>(total_pins_));
       return false;
@@ -103,7 +112,7 @@ bool PrefetchGovernor::TryAcquirePin(uint64_t session_id, SimTime now) {
   ++it->second.pins;
   ++total_pins_;
   ++stats_.pin_grants;
-  MetricsRegistry::Global().counter("overload.pin_grants").Increment();
+  pin_grants_counter_->Increment();
   return true;
 }
 

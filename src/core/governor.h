@@ -124,8 +124,12 @@ class PrefetchGovernor {
   // --- Degradation ladder ------------------------------------------------
 
   // Re-samples the pressure signals at `now`, walks the ladder (with
-  // hysteresis) and returns the current rung. Cheap; sessions call it every
-  // Pump and the replay loop at every admission decision.
+  // hysteresis) and returns the current rung. Sessions call it every Pump
+  // and the replay loop once per replayed access, so it must stay
+  // independent of pool size: it costs O(pool shards * log(unpinned
+  // in-flight frames)) for the pool signal (BufferPool::UnevictablePressure
+  // is incremental), O(I/O channels) for the backlog signal, and amortized
+  // O(log n) to prune the AIO ledger.
   DegradationRung Evaluate(SimTime now);
   DegradationRung rung() const { return rung_; }
 
@@ -192,6 +196,12 @@ class PrefetchGovernor {
   // Outstanding async completions, min-heap by completion time.
   std::priority_queue<SimTime, std::vector<SimTime>, std::greater<SimTime>>
       aio_completions_;
+
+  // Registry mirrors of the per-pin decisions, taken once: TryAcquirePin
+  // runs for every speculative page.
+  Counter* pin_grants_counter_;
+  Counter* pin_denials_counter_;
+  Counter* aio_deferrals_counter_;
 
   DegradationRung rung_ = DegradationRung::kFullNeural;
   // Virtual time the current rung was entered; SetRung records the elapsed

@@ -3,41 +3,16 @@
 #include <algorithm>
 #include <chrono>
 #include <deque>
-#include <limits>
+#include <functional>
+#include <numeric>
+#include <queue>
 #include <thread>
+#include <utility>
 
 #include "util/metrics_registry.h"
 #include "util/trace.h"
 
 namespace pythia {
-
-namespace {
-
-BufferPoolStats StatsDelta(const BufferPoolStats& after,
-                           const BufferPoolStats& before) {
-  BufferPoolStats d;
-  d.fetches = after.fetches - before.fetches;
-  d.buffer_hits = after.buffer_hits - before.buffer_hits;
-  d.prefetch_hits = after.prefetch_hits - before.prefetch_hits;
-  d.prefetch_wait_hits = after.prefetch_wait_hits - before.prefetch_wait_hits;
-  d.os_cache_copies = after.os_cache_copies - before.os_cache_copies;
-  d.disk_seq_reads = after.disk_seq_reads - before.disk_seq_reads;
-  d.disk_random_reads = after.disk_random_reads - before.disk_random_reads;
-  d.evictions = after.evictions - before.evictions;
-  d.uncached_reads = after.uncached_reads - before.uncached_reads;
-  d.prefetches_started = after.prefetches_started - before.prefetches_started;
-  d.prefetches_rejected =
-      after.prefetches_rejected - before.prefetches_rejected;
-  d.prefetch_wait_us = after.prefetch_wait_us - before.prefetch_wait_us;
-  d.read_retries = after.read_retries - before.read_retries;
-  d.corrupt_retries = after.corrupt_retries - before.corrupt_retries;
-  d.failed_fetches = after.failed_fetches - before.failed_fetches;
-  d.hedged_reads = after.hedged_reads - before.hedged_reads;
-  d.hedge_wins = after.hedge_wins - before.hedge_wins;
-  return d;
-}
-
-}  // namespace
 
 SimEnvironment::SimEnvironment(const SimOptions& options)
     : options_(options) {
@@ -196,7 +171,8 @@ ReplayResult ReplayQuery(const QueryTrace& trace,
   result.elapsed_us = now;
   PYTHIA_TRACE_SPAN("query", "replay", 0, now, "accesses",
                     result.completed_accesses);
-  result.pool_stats = StatsDelta(env->pool().stats(), before);
+  result.pool_stats = env->pool().stats();
+  SubtractStats(&result.pool_stats, before);
   return result;
 }
 
@@ -206,9 +182,7 @@ ConcurrentResult ReplayConcurrent(const std::vector<ConcurrentQuery>& queries,
   const LatencyModel& latency = env->options().latency;
   const size_t n = queries.size();
 
-  enum class Phase { kPendingArrival, kQueued, kRunning, kDone };
   struct QueryState {
-    Phase phase = Phase::kPendingArrival;
     SimTime clock = 0;
     SimTime deadline_at = 0;  // 0 = no deadline
     size_t next_access = 0;
@@ -231,12 +205,29 @@ ConcurrentResult ReplayConcurrent(const std::vector<ConcurrentQuery>& queries,
     for (size_t i = 0; i < n; ++i) tracks[i] = tracer.StartQueryTrack();
   }
 
+  // Pending arrivals, in event order: by arrival time, then index.
+  std::vector<size_t> arrivals(n);
+  std::iota(arrivals.begin(), arrivals.end(), size_t{0});
+  std::stable_sort(arrivals.begin(), arrivals.end(), [&](size_t a, size_t b) {
+    return queries[a].arrival_us < queries[b].arrival_us;
+  });
+  size_t next_arrival = 0;  // cursor into `arrivals`
+  // Running queries, min-heap by (clock, index): exactly the admitted,
+  // unfinished ones. A query's clock only moves while it is popped.
+  using RunEvent = std::pair<SimTime, size_t>;
+  std::priority_queue<RunEvent, std::vector<RunEvent>, std::greater<>>
+      running;
+
   size_t active = 0;
-  std::deque<size_t> wait_queue;  // FIFO of kQueued indices
+  std::deque<size_t> wait_queue;  // FIFO of queued indices
   // Latest virtual time any event has been processed at. Queue admissions
   // can never happen before it — a freed slot is only usable "now".
   SimTime watermark = 0;
   MetricsRegistry& reg = MetricsRegistry::Global();
+  Counter& admitted_after_wait = reg.counter("overload.admitted_after_wait");
+  Histogram& queue_wait = reg.histogram("overload.queue_wait_us");
+  Counter& admission_rejected = reg.counter("overload.admission_rejected");
+  Counter& deadline_stops = reg.counter("overload.deadline_stops");
 
   auto finish_query = [&](size_t i, SimTime end, Status status) {
     QueryState& st = states[i];
@@ -244,7 +235,6 @@ ConcurrentResult ReplayConcurrent(const std::vector<ConcurrentQuery>& queries,
       st.session->Finish();
       result.queries[i].prefetch_stats = st.session->stats();
     }
-    st.phase = Phase::kDone;
     result.end_us[i] = end;
     QueryRunMetrics& m = result.queries[i];
     m.status = std::move(status);
@@ -262,10 +252,11 @@ ConcurrentResult ReplayConcurrent(const std::vector<ConcurrentQuery>& queries,
     --active;
   };
 
-  // Starts query `i` at virtual time `start` (its admission time).
+  // Starts query `i` at virtual time `start` (its admission time). Every
+  // admission path goes through here, so this is where a query joins the
+  // running heap — unless its trace is empty and it finishes on the spot.
   auto admit = [&](size_t i, SimTime start) {
     QueryState& st = states[i];
-    st.phase = Phase::kRunning;
     st.clock = start;
     result.start_us[i] = start;
     result.queries[i] = queries[i].planned;
@@ -275,8 +266,8 @@ ConcurrentResult ReplayConcurrent(const std::vector<ConcurrentQuery>& queries,
         std::max(result.admission.max_queue_wait_us, wait);
     if (wait > 0) {
       ++result.admission.admitted_after_wait;
-      reg.counter("overload.admitted_after_wait").Increment();
-      reg.histogram("overload.queue_wait_us").Record(wait);
+      admitted_after_wait.Increment();
+      queue_wait.Record(wait);
       PYTHIA_TRACE_INSTANT("overload", "admit.queued", start, "query",
                            static_cast<uint64_t>(i), "wait_us",
                            static_cast<uint64_t>(wait));
@@ -301,6 +292,8 @@ ConcurrentResult ReplayConcurrent(const std::vector<ConcurrentQuery>& queries,
     }
     if (queries[i].trace->accesses.empty()) {
       finish_query(i, start, Status::OK());
+    } else {
+      running.emplace(start, i);
     }
   };
 
@@ -313,7 +306,6 @@ ConcurrentResult ReplayConcurrent(const std::vector<ConcurrentQuery>& queries,
       return;
     }
     if (wait_queue.size() < options.admission_queue_limit) {
-      states[i].phase = Phase::kQueued;
       wait_queue.push_back(i);
       PYTHIA_TRACE_INSTANT("overload", "admit.enqueue", arrival, "query",
                            static_cast<uint64_t>(i), "depth",
@@ -322,13 +314,12 @@ ConcurrentResult ReplayConcurrent(const std::vector<ConcurrentQuery>& queries,
     }
     // Saturated and the queue is full: reject outright rather than build an
     // unbounded backlog. The query never runs; it costs the system nothing.
-    states[i].phase = Phase::kDone;
     result.start_us[i] = arrival;
     result.end_us[i] = arrival;
     result.queries[i].status =
         Status::ResourceExhausted("admission queue full");
     ++result.admission.rejected;
-    reg.counter("overload.admission_rejected").Increment();
+    admission_rejected.Increment();
     PYTHIA_TRACE_INSTANT("overload", "admit.reject", arrival, "query",
                          static_cast<uint64_t>(i));
   };
@@ -348,36 +339,18 @@ ConcurrentResult ReplayConcurrent(const std::vector<ConcurrentQuery>& queries,
 
   // Event loop: the next event is either the earliest unprocessed arrival
   // or the smallest running-query clock; arrivals win ties so admission
-  // state is up to date before work advances past that instant.
+  // state is up to date before work advances past that instant. Among equal
+  // keys the lowest query index goes first (stable arrival order, and the
+  // index in the heap key). Each step is O(log N): a cursor bump or one
+  // heap pop and push.
   for (;;) {
-    size_t next_arrival = n;
-    SimTime arrival_t = std::numeric_limits<SimTime>::max();
-    size_t pick = n;
-    SimTime best = std::numeric_limits<SimTime>::max();
-    for (size_t i = 0; i < n; ++i) {
-      switch (states[i].phase) {
-        case Phase::kPendingArrival:
-          if (queries[i].arrival_us < arrival_t) {
-            arrival_t = queries[i].arrival_us;
-            next_arrival = i;
-          }
-          break;
-        case Phase::kRunning:
-          if (states[i].clock < best) {
-            best = states[i].clock;
-            pick = i;
-          }
-          break;
-        default:
-          break;
-      }
-    }
-
-    if (next_arrival < n && arrival_t <= best) {
-      on_arrival(next_arrival);
+    if (next_arrival < n &&
+        (running.empty() || queries[arrivals[next_arrival]].arrival_us <=
+                                running.top().first)) {
+      on_arrival(arrivals[next_arrival++]);
       continue;
     }
-    if (pick == n) {
+    if (running.empty()) {
       if (!wait_queue.empty()) {
         // Nothing running and nothing arriving, yet queries are queued
         // (e.g. the freed slot went to an empty-trace query that finished
@@ -391,6 +364,8 @@ ConcurrentResult ReplayConcurrent(const std::vector<ConcurrentQuery>& queries,
       break;
     }
 
+    const size_t pick = running.top().second;
+    running.pop();
     QueryState& st = states[pick];
     if (tracing) {
       tracer.SetTrack(tracks[pick]);
@@ -403,7 +378,7 @@ ConcurrentResult ReplayConcurrent(const std::vector<ConcurrentQuery>& queries,
         st.session != nullptr && !st.session->finished()) {
       st.deadline_exceeded = true;
       ++result.admission.deadline_stops;
-      reg.counter("overload.deadline_stops").Increment();
+      deadline_stops.Increment();
       result.queries[pick].prefetch_stats = st.session->stats();
       st.session->Finish();
       PYTHIA_TRACE_INSTANT("overload", "deadline.stop", st.clock, "query",
@@ -435,6 +410,8 @@ ConcurrentResult ReplayConcurrent(const std::vector<ConcurrentQuery>& queries,
     if (++st.next_access >= queries[pick].trace->accesses.size()) {
       finish_query(pick, st.clock, Status::OK());
       admit_from_queue(st.clock);
+    } else {
+      running.emplace(st.clock, pick);
     }
   }
 
@@ -513,7 +490,8 @@ ParallelReplayResult ReplayParallelFleet(
           std::chrono::steady_clock::now() - wall_start)
           .count();
 
-  result.pool_stats = StatsDelta(env->pool().stats(), stats_before);
+  result.pool_stats = env->pool().stats();
+  SubtractStats(&result.pool_stats, stats_before);
   const BufferPoolLockStats lock_after = env->pool().lock_stats();
   result.lock_stats.acquisitions =
       lock_after.acquisitions - lock_before.acquisitions;

@@ -222,6 +222,13 @@ struct ConcurrentResult {
 // each advances its own virtual clock; shared state is updated in global
 // time order. Every admitted query completes — admission, deadlines and
 // governor shedding degrade service, never abandon work.
+//
+// Event order: the earliest pending arrival or the smallest running-query
+// clock, arrivals winning ties, the lowest query index winning among equal
+// keys. Cost: O(N log N) once to sort the arrivals, then O(log N) per
+// replayed access for the running-query heap (N = batch size), plus one
+// governor Evaluate, one session Pump/OnFetch and one FetchPage — none of
+// which scans the batch or the pool.
 ConcurrentResult ReplayConcurrent(const std::vector<ConcurrentQuery>& queries,
                                   const ConcurrentOptions& options,
                                   SimEnvironment* env);
@@ -230,6 +237,17 @@ ConcurrentResult ReplayConcurrent(const std::vector<ConcurrentQuery>& queries,
 // governor.
 ConcurrentResult ReplayConcurrent(const std::vector<ConcurrentQuery>& queries,
                                   SimEnvironment* env);
+
+namespace reference {
+
+// Test-only reference: the original event loop, which scans all N queries
+// for the next event on every step (core/replay_reference.cc). The
+// event-heap ReplayConcurrent must reproduce its results exactly.
+ConcurrentResult ReplayConcurrent(const std::vector<ConcurrentQuery>& queries,
+                                  const ConcurrentOptions& options,
+                                  SimEnvironment* env);
+
+}  // namespace reference
 
 // ---------------------------------------------------------------------------
 // True multi-threaded fleet replay.

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "bufmgr/buffer_pool.h"
@@ -572,6 +574,128 @@ INSTANTIATE_TEST_SUITE_P(AllPolicies, BufferPoolPolicyTest,
                          ::testing::Values(ReplacementPolicyKind::kClock,
                                            ReplacementPolicyKind::kLru,
                                            ReplacementPolicyKind::kMru));
+
+// ---------------------------------------------------------------------------
+// Pool pressure: incremental per-shard state vs the reference frame scan.
+// ---------------------------------------------------------------------------
+
+// (shards, policy)
+class PressureDifferentialTest
+    : public ::testing::TestWithParam<
+          std::tuple<size_t, ReplacementPolicyKind>> {};
+
+// Seeded random Pin / Unpin / StartPrefetch (pinned or not) / FetchPage /
+// Reset sequences at non-monotonic `now`, on a pool small enough that
+// fetches hit, wait on in-flight prefetches, and evict landed ones. After
+// every operation UnevictablePressure must equal the frame scan, probed at
+// the operation's own time, the extremes, and either side of a recent
+// prefetch arrival (the in-flight edge is `arrival > now`).
+TEST_P(PressureDifferentialTest, MatchesFrameScanAtAnyNow) {
+  const auto [shards, policy] = GetParam();
+  LatencyModel latency;
+  OsPageCache os(OsPageCache::Options{.capacity_pages = 256,
+                                      .readahead_pages = 0},
+                 latency);
+  BufferPool pool(BufferPool::Options{.capacity_pages = 12,
+                                      .policy = policy,
+                                      .num_shards = shards},
+                  &os, latency);
+  BufferPoolStats seen;
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    Pcg32 rng(seed, 0xd1ffULL);
+    std::vector<SimTime> arrivals;
+    auto random_page = [&] {
+      return PageId{1 + rng.UniformU32(2), rng.UniformU32(20)};
+    };
+    for (int op = 0; op < 3000; ++op) {
+      // Virtual time jumps around: replay sessions evaluate at clocks that
+      // lag each other.
+      const SimTime now = rng.UniformU32(2000);
+      const uint32_t kind = rng.UniformU32(100);
+      if (kind < 20) {
+        pool.Pin(random_page());
+      } else if (kind < 45) {
+        pool.Unpin(random_page());
+      } else if (kind < 70) {
+        const SimTime arrival = now + rng.UniformU32(600);
+        arrivals.push_back(arrival);
+        pool.StartPrefetch(random_page(), arrival,
+                           /*pin=*/rng.UniformU32(2) == 0, now);
+      } else if (kind < 99) {
+        ASSERT_TRUE(pool.FetchPage(random_page(), now).ok());
+      } else {
+        AccumulateStats(&seen, pool.stats());
+        pool.ResetStats();
+        pool.Reset();
+        arrivals.clear();
+      }
+      std::vector<SimTime> probes = {now, 0, 1000000};
+      if (!arrivals.empty()) {
+        const SimTime a = arrivals[rng.UniformU32(
+            static_cast<uint32_t>(arrivals.size()))];
+        probes.insert(probes.end(), {a - 1, a, a + 1});
+      }
+      for (SimTime t : probes) {
+        ASSERT_EQ(pool.UnevictablePressure(t),
+                  pool.UnevictablePressureByScan(t))
+            << "seed " << seed << " op " << op << " now " << t;
+      }
+    }
+    AccumulateStats(&seen, pool.stats());
+    pool.ResetStats();
+    pool.Reset();
+  }
+  // The sequences reached every frame transition the state tracks.
+  EXPECT_GT(seen.buffer_hits, 0u);
+  EXPECT_GT(seen.prefetch_wait_hits, 0u);
+  EXPECT_GT(seen.prefetch_hits, 0u);
+  EXPECT_GT(seen.evictions, 0u);
+  EXPECT_GT(seen.prefetches_started, 0u);
+  EXPECT_GT(seen.prefetches_rejected + seen.uncached_reads, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ShardsAndPolicies, PressureDifferentialTest,
+    ::testing::Combine(::testing::Values(size_t{1}, size_t{4}),
+                       ::testing::Values(ReplacementPolicyKind::kClock,
+                                         ReplacementPolicyKind::kLru,
+                                         ReplacementPolicyKind::kMru)));
+
+// ---------------------------------------------------------------------------
+// BufferPoolStats arithmetic.
+// ---------------------------------------------------------------------------
+
+// Every field is a 64-bit counter; the test fills the struct as an array so
+// a field added to BufferPoolStats but forgotten in the shared field list
+// fails here without this test being edited.
+static_assert(sizeof(BufferPoolStats) % sizeof(uint64_t) == 0);
+constexpr size_t kStatFields = sizeof(BufferPoolStats) / sizeof(uint64_t);
+
+BufferPoolStats DistinctStats(uint64_t base) {
+  uint64_t values[kStatFields];
+  for (size_t i = 0; i < kStatFields; ++i) values[i] = base + 1000 * (i + 1);
+  BufferPoolStats s;
+  std::memcpy(&s, values, sizeof(s));
+  return s;
+}
+
+bool SameStats(const BufferPoolStats& a, const BufferPoolStats& b) {
+  return std::memcmp(&a, &b, sizeof(a)) == 0;
+}
+
+TEST(BufferPoolStatsTest, AccumulateAndSubtractCoverEveryField) {
+  const BufferPoolStats a = DistinctStats(7);
+  const BufferPoolStats b = DistinctStats(3);
+  BufferPoolStats sum;
+  AccumulateStats(&sum, a);
+  EXPECT_TRUE(SameStats(sum, a));
+  AccumulateStats(&sum, b);
+  BufferPoolStats delta = sum;
+  SubtractStats(&delta, a);
+  EXPECT_TRUE(SameStats(delta, b));
+  SubtractStats(&delta, b);
+  EXPECT_TRUE(SameStats(delta, BufferPoolStats()));
+}
 
 }  // namespace
 }  // namespace pythia

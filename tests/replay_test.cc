@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <memory>
+#include <string>
+
 #include "core/baselines.h"
+#include "core/governor.h"
 #include "core/replay.h"
+#include "util/rng.h"
 
 namespace pythia {
 namespace {
@@ -177,6 +183,222 @@ TEST(ReplayTest, EmptyTraceCompletesImmediately) {
   q.arrival_us = 42;
   const ConcurrentResult conc = ReplayConcurrent({q}, &env);
   EXPECT_EQ(conc.end_us[0], 42u);
+}
+
+// ---------------------------------------------------------------------------
+// Event-heap ReplayConcurrent vs the reference linear-scan loop.
+// ---------------------------------------------------------------------------
+
+// One randomly drawn batch: environment, admission/deadline knobs, optional
+// governor, and queries whose trace pointers index into `traces`.
+struct FleetCase {
+  SimOptions sim;
+  bool governed = false;
+  GovernorOptions governor;
+  size_t max_active_queries = 0;
+  size_t admission_queue_limit = 16;
+  SimTime default_deadline_us = 0;
+  std::vector<QueryTrace> traces;
+  std::vector<ConcurrentQuery> queries;
+};
+
+// Few distinct arrival times, zero-CPU accesses and a small page universe,
+// so arrivals tie with each other and with running clocks; 15% empty
+// traces; admission caps of none, one, all and a few; transient read
+// errors with short retry budgets so queries die mid-trace.
+FleetCase DrawFleet(uint64_t seed) {
+  Pcg32 rng(seed, 0xf1ee7ULL);
+  FleetCase fc;
+  fc.sim.buffer_pages = 24 + rng.UniformU32(64);
+  fc.sim.buffer_shards = rng.UniformU32(2) == 0 ? 1 : 4;
+  fc.sim.os_cache_pages = 64 + rng.UniformU32(128);
+  fc.sim.os_readahead_pages = rng.UniformU32(2) == 0 ? 0 : 8;
+  fc.sim.io_channels = 1 + rng.UniformU32(4);
+  const double error_probs[] = {0.0, 0.05, 0.3};
+  fc.sim.faults.transient_error_prob = error_probs[rng.UniformU32(3)];
+  fc.sim.faults.tail_latency_prob = rng.UniformU32(2) == 0 ? 0.0 : 0.05;
+  fc.sim.faults.aio_stall_prob = rng.UniformU32(2) == 0 ? 0.0 : 0.05;
+  fc.sim.faults.seed = seed;
+  fc.sim.retry.max_attempts = 1 + rng.UniformU32(3);
+
+  const size_t n = 1 + rng.UniformU32(40);
+  const size_t caps[] = {0, 1, n, 2 + rng.UniformU32(4)};
+  fc.max_active_queries = caps[rng.UniformU32(4)];
+  const size_t limits[] = {0, 1, 3, 16};
+  fc.admission_queue_limit = limits[rng.UniformU32(4)];
+  fc.default_deadline_us =
+      rng.UniformU32(2) == 0 ? 0 : 200 + rng.UniformU32(3000);
+  fc.governed = rng.UniformU32(3) != 0;
+  fc.governor.max_pinned_pages = 4 + rng.UniformU32(40);
+  fc.governor.max_outstanding_aio = 2 + rng.UniformU32(16);
+  fc.governor.cached_only_above = 0.2 + 0.1 * rng.UniformU32(4);
+  fc.governor.readahead_above = fc.governor.cached_only_above + 0.2;
+  fc.governor.no_prefetch_above = fc.governor.readahead_above + 0.15;
+
+  fc.traces.resize(n);
+  for (QueryTrace& t : fc.traces) {
+    if (rng.UniformU32(100) < 15) continue;  // empty trace
+    const uint32_t len = 1 + rng.UniformU32(60);
+    for (uint32_t a = 0; a < len; ++a) {
+      const uint32_t cpu[] = {0, 0, 1, 3, 20};
+      t.accesses.push_back(PageAccess{
+          PageId{1 + rng.UniformU32(3), rng.UniformU32(100)},
+          rng.UniformU32(2) == 0, cpu[rng.UniformU32(5)]});
+    }
+  }
+  fc.queries.resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    ConcurrentQuery& q = fc.queries[i];
+    q.trace = &fc.traces[i];
+    q.arrival_us = 100 * rng.UniformU32(6);
+    if (rng.UniformU32(4) == 0) q.deadline_us = 100 + rng.UniformU32(2000);
+    q.planned.rung = static_cast<DegradationRung>(rng.UniformU32(2));
+    q.planned.predicted_pages = rng.UniformU32(50);
+    q.planned.engaged = rng.UniformU32(2) == 0;
+    if (rng.UniformU32(10) < 6) {
+      for (const PageAccess& a : q.trace->accesses) {
+        if (rng.UniformU32(3) != 0) q.prefetch_pages.push_back(a.page);
+      }
+      for (uint32_t k = rng.UniformU32(10); k > 0; --k) {
+        q.prefetch_pages.push_back(
+            PageId{1 + rng.UniformU32(3), rng.UniformU32(100)});
+      }
+      q.prefetch_options.readahead_window = 2 + rng.UniformU32(30);
+      q.prefetch_options.start_delay_us = rng.UniformU32(500);
+      q.prefetch_options.prefetch_timeout_us =
+          rng.UniformU32(2) == 0 ? 0 : 100 + rng.UniformU32(1000);
+      q.prefetch_options.priority = static_cast<int>(rng.UniformU32(3));
+    }
+  }
+  return fc;
+}
+
+struct FleetRun {
+  ConcurrentResult result;
+  BufferPoolStats pool;
+  GovernorStats governor;
+  size_t pinned_frames = 0;
+};
+
+FleetRun RunFleet(const FleetCase& fc, bool reference) {
+  SimEnvironment env(fc.sim);
+  std::unique_ptr<PrefetchGovernor> governor;
+  ConcurrentOptions options;
+  options.max_active_queries = fc.max_active_queries;
+  options.admission_queue_limit = fc.admission_queue_limit;
+  options.default_deadline_us = fc.default_deadline_us;
+  if (fc.governed) {
+    governor = std::make_unique<PrefetchGovernor>(
+        fc.governor, &env.pool(), &env.io(), &env.os_cache());
+    options.governor = governor.get();
+  }
+  FleetRun run;
+  run.result = reference
+                   ? reference::ReplayConcurrent(fc.queries, options, &env)
+                   : ReplayConcurrent(fc.queries, options, &env);
+  run.pool = env.pool().stats();
+  if (governor != nullptr) run.governor = governor->stats();
+  run.pinned_frames = env.pool().pinned_frames();
+  return run;
+}
+
+// All-uint64 structs compare bytewise, so no field can be skipped.
+template <typename T>
+bool SameBytes(const T& a, const T& b) {
+  static_assert(sizeof(T) % sizeof(uint64_t) == 0);
+  return std::memcmp(&a, &b, sizeof(T)) == 0;
+}
+
+void ExpectSameRun(const FleetRun& want, const FleetRun& got,
+                   uint64_t seed) {
+  SCOPED_TRACE("seed " + std::to_string(seed));
+  const ConcurrentResult& w = want.result;
+  const ConcurrentResult& g = got.result;
+  EXPECT_EQ(w.start_us, g.start_us);
+  EXPECT_EQ(w.end_us, g.end_us);
+  ASSERT_EQ(w.queries.size(), g.queries.size());
+  for (size_t i = 0; i < w.queries.size(); ++i) {
+    SCOPED_TRACE("query " + std::to_string(i));
+    const QueryRunMetrics& a = w.queries[i];
+    const QueryRunMetrics& b = g.queries[i];
+    EXPECT_EQ(a.status.code(), b.status.code());
+    EXPECT_EQ(a.status.message(), b.status.message());
+    EXPECT_EQ(a.elapsed_us, b.elapsed_us);
+    EXPECT_EQ(a.engaged, b.engaged);
+    EXPECT_EQ(a.rung, b.rung);
+    EXPECT_EQ(a.degraded_by_breaker, b.degraded_by_breaker);
+    EXPECT_EQ(a.degraded_by_watchdog, b.degraded_by_watchdog);
+    EXPECT_EQ(a.degraded_by_governor, b.degraded_by_governor);
+    EXPECT_EQ(a.deadline_exceeded, b.deadline_exceeded);
+    EXPECT_EQ(a.queue_wait_us, b.queue_wait_us);
+    EXPECT_EQ(a.accuracy.precision, b.accuracy.precision);
+    EXPECT_EQ(a.accuracy.recall, b.accuracy.recall);
+    EXPECT_EQ(a.accuracy.f1, b.accuracy.f1);
+    EXPECT_EQ(a.accuracy.true_positives, b.accuracy.true_positives);
+    EXPECT_EQ(a.accuracy.predicted, b.accuracy.predicted);
+    EXPECT_EQ(a.accuracy.actual, b.accuracy.actual);
+    EXPECT_EQ(a.predicted_pages, b.predicted_pages);
+    EXPECT_TRUE(SameBytes(a.pool_stats, b.pool_stats));
+    EXPECT_TRUE(SameBytes(a.prefetch_stats, b.prefetch_stats));
+  }
+  EXPECT_TRUE(SameBytes(w.admission, g.admission));
+  EXPECT_EQ(w.makespan_us, g.makespan_us);
+  EXPECT_EQ(w.total_query_us, g.total_query_us);
+  EXPECT_TRUE(SameBytes(want.pool, got.pool));
+  EXPECT_TRUE(SameBytes(want.governor, got.governor));
+  EXPECT_EQ(got.pinned_frames, 0u);
+}
+
+TEST(ReplayConcurrentDifferentialTest, HeapMatchesLinearScanOnRandomFleets) {
+  AdmissionStats seen;
+  uint64_t failed = 0, empty = 0, shed_or_denied = 0;
+  for (uint64_t seed = 1; seed <= 300; ++seed) {
+    const FleetCase fc = DrawFleet(seed);
+    const FleetRun want = RunFleet(fc, /*reference=*/true);
+    const FleetRun got = RunFleet(fc, /*reference=*/false);
+    ExpectSameRun(want, got, seed);
+    if (HasFailure()) break;  // one diverging seed is enough to read
+    seen.admitted_after_wait += want.result.admission.admitted_after_wait;
+    seen.rejected += want.result.admission.rejected;
+    seen.deadline_stops += want.result.admission.deadline_stops;
+    for (size_t i = 0; i < fc.queries.size(); ++i) {
+      const QueryRunMetrics& m = want.result.queries[i];
+      if (m.status.code() == StatusCode::kIoError) ++failed;
+      if (fc.traces[i].accesses.empty()) ++empty;
+      shed_or_denied += m.prefetch_stats.shed_by_governor +
+                        m.prefetch_stats.denied_by_governor;
+    }
+  }
+  // The draws reached every path the two loops could disagree on.
+  EXPECT_GT(seen.admitted_after_wait, 0u);
+  EXPECT_GT(seen.rejected, 0u);
+  EXPECT_GT(seen.deadline_stops, 0u);
+  EXPECT_GT(failed, 0u);
+  EXPECT_GT(empty, 0u);
+  EXPECT_GT(shed_or_denied, 0u);
+}
+
+TEST(ReplayConcurrentDifferentialTest, QueuedBehindEmptyTraceUsesFallback) {
+  // One slot; the running query's finish admits an empty-trace query that
+  // ends on the spot, leaving nothing running or arriving while a third
+  // query is still queued — the nothing-running fallback must admit it at
+  // the latest event time.
+  FleetCase fc;
+  fc.max_active_queries = 1;
+  fc.traces.resize(3);
+  for (uint32_t p = 0; p < 5; ++p) {
+    fc.traces[0].accesses.push_back(PageAccess{PageId{1, p}, false, 2});
+    fc.traces[2].accesses.push_back(PageAccess{PageId{2, p}, false, 2});
+  }
+  fc.queries.resize(3);
+  for (size_t i = 0; i < 3; ++i) fc.queries[i].trace = &fc.traces[i];
+  const FleetRun want = RunFleet(fc, /*reference=*/true);
+  const FleetRun got = RunFleet(fc, /*reference=*/false);
+  ExpectSameRun(want, got, 0);
+  EXPECT_EQ(got.result.start_us[1], got.result.end_us[0]);
+  EXPECT_EQ(got.result.end_us[1], got.result.start_us[1]);
+  EXPECT_EQ(got.result.start_us[2], got.result.end_us[0]);
+  EXPECT_EQ(got.result.admission.admitted_after_wait, 2u);
 }
 
 // ---------------------------------------------------------------------------
