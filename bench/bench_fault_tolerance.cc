@@ -88,6 +88,7 @@ void Run() {
       fault_free_median = median;
     }
     const RobustnessCounters& rc = system.robustness();
+    const CircuitBreakerStats& breaker = system.breaker().stats();
     table.AddRow({TablePrinter::Num(rate.error_prob * 100, 2) + "%",
                   TablePrinter::Num(rate.spike_prob * 100, 2) + "%",
                   TablePrinter::Num(median, 2) + "x",
@@ -97,7 +98,7 @@ void Run() {
                   std::to_string(rc.read_retries),
                   std::to_string(injected_errors),
                   std::to_string(rc.dropped_prefetches),
-                  std::to_string(rc.degraded_queries)});
+                  std::to_string(breaker.rejected)});
     json.BeginObject()
         .Field("error_rate", rate.error_prob)
         .Field("spike_rate", rate.spike_prob)
@@ -106,8 +107,8 @@ void Run() {
         .Field("read_retries", rc.read_retries)
         .Field("injected_errors", injected_errors)
         .Field("dropped_prefetches", rc.dropped_prefetches)
-        .Field("degraded_queries", rc.degraded_queries)
-        .Field("breaker_trips", rc.breaker_trips)
+        .Field("degraded_queries", breaker.rejected)
+        .Field("breaker_trips", breaker.trips)
         .EndObject();
   }
   json.EndArray().EndObject();

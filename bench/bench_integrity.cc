@@ -88,6 +88,9 @@ void CorruptionSweep(const Database& db, const Workload& workload,
     const RobustnessCounters& rc = system.robustness();
     const SimulatedDisk::Stats disk =
         env.disk() != nullptr ? env.disk()->stats() : SimulatedDisk::Stats();
+    const FaultStats injected = env.fault_injector() != nullptr
+                                    ? env.fault_injector()->stats()
+                                    : FaultStats();
     table.AddRow({TablePrinter::Num(rate.bit_flip, 5),
                   TablePrinter::Num(rate.torn_write, 6),
                   TablePrinter::Num(rate.stale_read, 6),
@@ -108,12 +111,12 @@ void CorruptionSweep(const Database& db, const Workload& workload,
         .Field("verified_ok", disk.verified_ok)
         .Field("checksum_failures", disk.checksum_failures)
         .Field("stale_reads_caught", disk.stale_reads_caught)
-        .Field("injected_bit_flips", rc.injected_bit_flips)
-        .Field("injected_torn_writes", rc.injected_torn_writes)
-        .Field("injected_stale_reads", rc.injected_stale_reads)
+        .Field("injected_bit_flips", injected.injected_bit_flips)
+        .Field("injected_torn_writes", injected.injected_torn_writes)
+        .Field("injected_stale_reads", injected.injected_stale_reads)
         .Field("corrupt_read_retries", rc.corrupt_read_retries)
         .Field("corrupt_prefetch_drops", rc.corrupt_prefetch_drops)
-        .Field("degraded_queries", rc.degraded_queries)
+        .Field("degraded_queries", system.breaker().stats().rejected)
         .EndObject();
   }
   json->EndArray();
@@ -194,13 +197,13 @@ void DriftWatchdog(const Database& db, const Workload& trained,
   run_phase("recover", trained);
   json->EndArray();
 
-  const RobustnessCounters& rc = system.robustness();
+  const WatchdogStats ws = system.watchdog(0).stats();
   json->Key("stats")
       .BeginObject()
-      .Field("demotions", rc.watchdog_demotions)
-      .Field("probes", rc.watchdog_probes)
-      .Field("reinstatements", rc.watchdog_reinstatements)
-      .Field("degraded_queries", rc.watchdog_degraded_queries)
+      .Field("demotions", ws.demotions)
+      .Field("probes", ws.probes)
+      .Field("reinstatements", ws.reinstatements)
+      .Field("degraded_queries", ws.degraded_queries)
       .Field("final_health", PhaseHealth(system))
       .EndObject()
       .EndObject();
@@ -210,10 +213,10 @@ void DriftWatchdog(const Database& db, const Workload& trained,
   table.Print();
   std::printf("\nwatchdog: demotions=%llu probes=%llu reinstatements=%llu "
               "degraded_queries=%llu final=%s\n",
-              static_cast<unsigned long long>(rc.watchdog_demotions),
-              static_cast<unsigned long long>(rc.watchdog_probes),
-              static_cast<unsigned long long>(rc.watchdog_reinstatements),
-              static_cast<unsigned long long>(rc.watchdog_degraded_queries),
+              static_cast<unsigned long long>(ws.demotions),
+              static_cast<unsigned long long>(ws.probes),
+              static_cast<unsigned long long>(ws.reinstatements),
+              static_cast<unsigned long long>(ws.degraded_queries),
               PhaseHealth(system));
   std::printf("\nExpected shape: during drift the window ratio collapses "
               "and the model is demoted (degraded=yes rows run on the "

@@ -37,14 +37,19 @@ cmake -B "${BUILD_DIR}" -S . \
 cmake --build "${BUILD_DIR}" -j "$(nproc)"
 ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "$(nproc)" "$@"
 
+# The benches below write BENCH_*.json (and their model cache) into the
+# working directory. Run them from the sanitizer build tree so their smoke
+# results never replace the committed full-run files at the repo root.
+cd "${BUILD_DIR}"
+
 # The ASan arm additionally sweeps the crash/recovery path: every named
 # crash site kills a checkpoint mid-write and recovery parses the torn
 # residue — the densest concentration of manual serialization, bounds-checked
 # parsing and file juggling in the tree, exactly where ASan/UBSan earn their
 # keep.
 if [[ "${MODE}" == address ]]; then
-  cmake --build "${BUILD_DIR}" -j "$(nproc)" --target bench_crash_recovery
-  "${BUILD_DIR}/bench/bench_crash_recovery" --smoke
+  cmake --build . -j "$(nproc)" --target bench_crash_recovery
+  ./bench/bench_crash_recovery --smoke
 fi
 
 # The TSan arm additionally soaks the background training lane: the
@@ -52,34 +57,34 @@ fi
 # while the foreground replays queries against the incumbent — the main
 # producer/consumer handoff the unit tests only exercise briefly.
 if [[ "${MODE}" == thread ]]; then
-  cmake --build "${BUILD_DIR}" -j "$(nproc)" --target bench_adaptation
-  "${BUILD_DIR}/bench/bench_adaptation" --smoke
+  cmake --build . -j "$(nproc)" --target bench_adaptation
+  ./bench/bench_adaptation --smoke
 
   # Batch-queue soak: BatchPredictor flush windows fan the decoder GEMMs out
   # on the ThreadPool (WorkloadModel::PredictBatch -> per-unit lanes writing
   # disjoint batch_scratch rows), plus the lane-busy/queue-depth metrics the
   # workers publish while tests drive them. Repeating the suite keeps those
   # lanes hot long enough for TSan to interleave them meaningfully.
-  "${BUILD_DIR}/tests/batch_predictor_test" --gtest_repeat=5
+  ./tests/batch_predictor_test --gtest_repeat=5
 
   # Sharded-pool soak: real threads hammering the lock-striped BufferPool
   # (ConcurrentFetchesKeepInvariants) and the full multi-threaded fleet
   # replay arm of bench_shard — shard mutexes, striped OS-cache channel
   # locks, the IoScheduler bookkeeping lock and the atomic readahead kill
   # switch all under TSan. Repeats keep the interleavings varied.
-  "${BUILD_DIR}/tests/bufmgr_test" \
+  ./tests/bufmgr_test \
       --gtest_filter='ShardedPoolTest.*' --gtest_repeat=5
-  cmake --build "${BUILD_DIR}" -j "$(nproc)" --target bench_shard
-  "${BUILD_DIR}/bench/bench_shard" --smoke
+  cmake --build . -j "$(nproc)" --target bench_shard
+  ./bench/bench_shard --smoke
 
   # Hedged-read soak: the gray-failure layer under genuine concurrency — the
   # ChannelHealthTracker's lock-free summary atomics, the global hedge-budget
   # counters and the ChannelBreakerBoard mutex all cross-talk between fleet
   # threads while one channel is browned out. Repeats vary the interleavings;
   # the brownout bench smoke re-checks budget conservation under TSan timing.
-  "${BUILD_DIR}/tests/channel_health_test" \
+  ./tests/channel_health_test \
       --gtest_filter='GrayFailureEndToEndTest.HedgeSoakParallelFleet' \
       --gtest_repeat=5
-  cmake --build "${BUILD_DIR}" -j "$(nproc)" --target bench_brownout
-  "${BUILD_DIR}/bench/bench_brownout" --smoke
+  cmake --build . -j "$(nproc)" --target bench_brownout
+  ./bench/bench_brownout --smoke
 fi

@@ -30,75 +30,32 @@ bool IsHealthyPrefetch(const PrefetchSessionStats& stats,
          policy.max_waste_fraction * static_cast<double>(attempted);
 }
 
-bool CircuitBreaker::AllowPrefetch() {
-  switch (state_) {
-    case BreakerState::kClosed:
-      return true;
-    case BreakerState::kOpen:
-      ++stats_.rejected;
-      if (cooldown_remaining_ > 0) --cooldown_remaining_;
-      if (cooldown_remaining_ == 0) {
-        state_ = BreakerState::kHalfOpen;
-        probe_successes_ = 0;
-      }
-      // This query still runs degraded; the *next* one may probe.
-      return false;
-    case BreakerState::kHalfOpen:
-      ++stats_.probes;
-      return true;
-  }
-  return true;
-}
+CircuitBreaker::CircuitBreaker(const CircuitBreakerOptions& options)
+    : failure_threshold_(options.failure_threshold),
+      core_({.window = options.window,
+             .min_samples = options.min_samples,
+             .cooldown = options.cooldown_queries,
+             .required_probe_successes = options.required_probe_successes}) {}
 
 void CircuitBreaker::Record(bool healthy) {
-  switch (state_) {
-    case BreakerState::kClosed: {
-      window_.push_back(healthy);
-      while (window_.size() > options_.window) window_.pop_front();
-      if (window_.size() < options_.min_samples) return;
-      size_t unhealthy = 0;
-      for (bool h : window_) unhealthy += h ? 0 : 1;
-      if (static_cast<double>(unhealthy) >=
-          options_.failure_threshold * static_cast<double>(window_.size())) {
-        TripOpen();
-      }
-      return;
-    }
-    case BreakerState::kOpen:
-      // A session that was already running when the breaker tripped; its
-      // outcome is moot.
-      return;
-    case BreakerState::kHalfOpen:
-      if (!healthy) {
-        TripOpen();
-        return;
-      }
-      if (++probe_successes_ >= options_.required_probe_successes) {
-        state_ = BreakerState::kClosed;
-        window_.clear();
-        ++stats_.recoveries;
-        PYTHIA_TRACE_INSTANT_CTX("breaker", "recover", "recoveries",
-                                 stats_.recoveries);
-      }
-      return;
+  const auto too_unhealthy = [this] {
+    const auto& window = core_.snapshot().window;
+    size_t unhealthy = 0;
+    for (bool h : window) unhealthy += h ? 0 : 1;
+    return static_cast<double>(unhealthy) >=
+           failure_threshold_ * static_cast<double>(window.size());
+  };
+  switch (core_.Record(healthy, !healthy, too_unhealthy)) {
+    case HysteresisTransition::kTrip:
+      PYTHIA_TRACE_INSTANT_CTX("breaker", "trip", "trips", stats().trips);
+      break;
+    case HysteresisTransition::kRecover:
+      PYTHIA_TRACE_INSTANT_CTX("breaker", "recover", "recoveries",
+                               stats().recoveries);
+      break;
+    default:
+      break;
   }
-}
-
-void CircuitBreaker::TripOpen() {
-  state_ = BreakerState::kOpen;
-  cooldown_remaining_ = options_.cooldown_queries;
-  window_.clear();
-  probe_successes_ = 0;
-  ++stats_.trips;
-  PYTHIA_TRACE_INSTANT_CTX("breaker", "trip", "trips", stats_.trips);
-}
-
-void CircuitBreaker::Reset() {
-  state_ = BreakerState::kClosed;
-  window_.clear();
-  cooldown_remaining_ = 0;
-  probe_successes_ = 0;
-  stats_ = CircuitBreakerStats();
 }
 
 }  // namespace pythia

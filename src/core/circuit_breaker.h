@@ -13,19 +13,21 @@
 //  - half-open: a limited number of probe queries prefetch again;
 //    `required_probe_successes` consecutive healthy probes close the
 //    breaker, a single unhealthy probe re-opens it.
+// The machine itself is the shared core in core/hysteresis.h; this adapter
+// supplies the unhealthy-fraction judgement and the trace instants.
 #ifndef PYTHIA_CORE_CIRCUIT_BREAKER_H_
 #define PYTHIA_CORE_CIRCUIT_BREAKER_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 
+#include "core/hysteresis.h"
 #include "core/prefetcher.h"
 #include "core/query_metrics.h"
 
 namespace pythia {
 
-enum class BreakerState { kClosed, kOpen, kHalfOpen };
+using BreakerState = HysteresisState;
 
 // Where an open breaker sits on the graceful-degradation ladder
 // (core/query_metrics.h): no learned prefetch, sequential scans keep OS
@@ -45,12 +47,9 @@ struct CircuitBreakerOptions {
   size_t required_probe_successes = 2;
 };
 
-struct CircuitBreakerStats {
-  uint64_t trips = 0;            // closed/half-open -> open transitions
-  uint64_t probes = 0;           // queries allowed through while half-open
-  uint64_t rejected = 0;         // queries degraded to default while open
-  uint64_t recoveries = 0;       // half-open -> closed transitions
-};
+// trips, probes, rejected (queries degraded to default while open) and
+// recoveries.
+using CircuitBreakerStats = HysteresisStats;
 
 // Per-session health verdict: a session is unhealthy when faults/timeouts
 // ate too much of it or almost nothing it prefetched was consumed.
@@ -66,30 +65,23 @@ bool IsHealthyPrefetch(const PrefetchSessionStats& stats,
 class CircuitBreaker {
  public:
   explicit CircuitBreaker(const CircuitBreakerOptions& options =
-                              CircuitBreakerOptions())
-      : options_(options) {}
+                              CircuitBreakerOptions());
 
   // Called before each prefetch-eligible query: may the prefetcher engage?
   // Counts cooldown while open and admits probes while half-open.
-  bool AllowPrefetch();
+  bool AllowPrefetch() { return core_.Allow(); }
 
   // Records the health outcome of a prefetch session that ran.
   void Record(bool healthy);
 
-  BreakerState state() const { return state_; }
-  const CircuitBreakerStats& stats() const { return stats_; }
+  BreakerState state() const { return core_.snapshot().state; }
+  const CircuitBreakerStats& stats() const { return core_.snapshot().stats; }
 
-  void Reset();
+  void Reset() { core_.Restore({}); }
 
  private:
-  void TripOpen();
-
-  CircuitBreakerOptions options_;
-  BreakerState state_ = BreakerState::kClosed;
-  std::deque<bool> window_;      // true = healthy
-  size_t cooldown_remaining_ = 0;
-  size_t probe_successes_ = 0;
-  CircuitBreakerStats stats_;
+  double failure_threshold_;
+  Hysteresis<bool> core_;  // samples: true = healthy
 };
 
 }  // namespace pythia

@@ -126,14 +126,20 @@ void SimEnvironment::ResetChannelHealth() {
   if (breakers_ != nullptr) breakers_->Reset();
 }
 
-ReplayResult ReplayQuery(const QueryTrace& trace,
-                         const std::vector<PageId>& prefetch_pages,
-                         const PrefetcherOptions& prefetch_options,
-                         SimEnvironment* env) {
-  ReplayResult result;
-  const BufferPoolStats before = env->pool().stats();
-  const LatencyModel& latency = env->options().latency;
+namespace {
 
+// One query replayed on its own virtual clock from 0: pump the prefetch
+// session, fetch, advance by the fetch latency, feed the fetch back to the
+// session. Shared by ReplayQuery and the ReplayParallelFleet threads
+// (ReplayConcurrent interleaves queries and steps its own loop). Only a
+// single-threaded caller may set `set_trace_time`: the tracer's context
+// clock is one plain variable.
+ParallelThreadResult ReplayTrace(const QueryTrace& trace,
+                                 const std::vector<PageId>& prefetch_pages,
+                                 const PrefetcherOptions& prefetch_options,
+                                 SimEnvironment* env, bool set_trace_time) {
+  ParallelThreadResult result;
+  const LatencyModel& latency = env->options().latency;
   std::unique_ptr<PrefetchSession> session;
   if (!prefetch_pages.empty()) {
     PrefetcherOptions opts = prefetch_options;
@@ -151,7 +157,7 @@ ReplayResult ReplayQuery(const QueryTrace& trace,
            latency.cpu_per_tuple_us;
     // Keep the tracer's context time fresh for record sites below this layer
     // that carry no clock of their own (OS cache, simulated disk).
-    PYTHIA_TRACE_SET_TIME(now);
+    if (set_trace_time) PYTHIA_TRACE_SET_TIME(now);
     if (session != nullptr) session->Pump(now);
     const Result<FetchResult> fetch = env->pool().FetchPage(access.page, now);
     if (!fetch.ok()) {
@@ -169,8 +175,26 @@ ReplayResult ReplayQuery(const QueryTrace& trace,
     result.prefetch_stats = session->stats();
   }
   result.elapsed_us = now;
-  PYTHIA_TRACE_SPAN("query", "replay", 0, now, "accesses",
-                    result.completed_accesses);
+  return result;
+}
+
+}  // namespace
+
+ReplayResult ReplayQuery(const QueryTrace& trace,
+                         const std::vector<PageId>& prefetch_pages,
+                         const PrefetcherOptions& prefetch_options,
+                         SimEnvironment* env) {
+  const BufferPoolStats before = env->pool().stats();
+  ParallelThreadResult run = ReplayTrace(trace, prefetch_pages,
+                                         prefetch_options, env,
+                                         /*set_trace_time=*/true);
+  PYTHIA_TRACE_SPAN("query", "replay", 0, run.elapsed_us, "accesses",
+                    run.completed_accesses);
+  ReplayResult result;
+  result.status = std::move(run.status);
+  result.elapsed_us = run.elapsed_us;
+  result.completed_accesses = run.completed_accesses;
+  result.prefetch_stats = run.prefetch_stats;
   result.pool_stats = env->pool().stats();
   SubtractStats(&result.pool_stats, before);
   return result;
@@ -430,52 +454,24 @@ ConcurrentResult ReplayConcurrent(const std::vector<ConcurrentQuery>& queries,
 ParallelReplayResult ReplayParallelFleet(
     const std::vector<ParallelReplayThread>& threads,
     const ParallelReplayOptions& options, SimEnvironment* env) {
-  const LatencyModel& latency = env->options().latency;
   const size_t n = threads.size();
   ParallelReplayResult result;
   result.threads.resize(n);
   const BufferPoolStats stats_before = env->pool().stats();
   const BufferPoolLockStats lock_before = env->pool().lock_stats();
+  PrefetcherOptions opts = options.prefetch;
+  opts.governor = nullptr;  // the ladder is single-threaded control
 
-  // Body of one fleet thread: the ReplayQuery loop minus tracer context
-  // switching (the tracer's SetTime/SetTrack are single-threaded; event
-  // recording itself is spinlock-guarded and safe, so sites below this
-  // layer stay harmless if tracing happens to be on).
+  // Body of one fleet thread. The tracer's SetTime/SetTrack are
+  // single-threaded, so its context clock is left alone; event recording
+  // itself is spinlock-guarded and safe, so sites below this layer stay
+  // harmless if tracing happens to be on. The breaker board IS thread-safe
+  // (one mutex, lock-free tracker reads), so fleet threads shed off
+  // browned-out channels too.
   auto run_thread = [&](size_t idx) {
     const ParallelReplayThread& in = threads[idx];
-    ParallelThreadResult& out = result.threads[idx];
-    std::unique_ptr<PrefetchSession> session;
-    if (!in.prefetch_pages.empty()) {
-      PrefetcherOptions opts = options.prefetch;
-      opts.governor = nullptr;  // the ladder is single-threaded control
-      // The breaker board IS thread-safe (one mutex, lock-free tracker
-      // reads), so fleet threads shed off browned-out channels too.
-      if (opts.channel_breakers == nullptr) {
-        opts.channel_breakers = env->channel_breakers();
-      }
-      session = std::make_unique<PrefetchSession>(
-          in.prefetch_pages, opts, &env->pool(), &env->os_cache(), &env->io(),
-          latency);
-    }
-    SimTime now = 0;
-    for (const PageAccess& access : in.trace->accesses) {
-      now += static_cast<SimTime>(access.cpu_tuples_before) *
-             latency.cpu_per_tuple_us;
-      if (session != nullptr) session->Pump(now);
-      const Result<FetchResult> fetch = env->pool().FetchPage(access.page, now);
-      if (!fetch.ok()) {
-        out.status = fetch.status();
-        break;
-      }
-      now += fetch->latency_us;
-      ++out.completed_accesses;
-      if (session != nullptr) session->OnFetch(access.page, now);
-    }
-    if (session != nullptr) {
-      session->Finish();
-      out.prefetch_stats = session->stats();
-    }
-    out.elapsed_us = now;
+    result.threads[idx] = ReplayTrace(*in.trace, in.prefetch_pages, opts, env,
+                                      /*set_trace_time=*/false);
   };
 
   const auto wall_start = std::chrono::steady_clock::now();

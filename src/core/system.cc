@@ -90,56 +90,6 @@ int64_t PythiaSystem::EntryIndex(const WorkloadModel* model) const {
   return -1;
 }
 
-void PythiaSystem::HarvestGovernorStats() {
-  if (governor_ == nullptr) return;
-  const GovernorStats& gs = governor_->stats();
-  robustness_.governor_pin_denials = gs.pin_denials + gs.aio_deferrals;
-  robustness_.governor_pages_shed = gs.pages_shed;
-  robustness_.governor_rung_degrades = gs.rung_degrades;
-  robustness_.governor_rung_recoveries = gs.rung_recoveries;
-}
-
-void PythiaSystem::HarvestChannelHealthStats() {
-  // Brownout injections live on the per-channel injector stats; summed over
-  // channels (each channel's injector instance appears exactly once:
-  // channel 0 keeps the shared injector, 1..N-1 their own).
-  uint64_t brownouts = 0;
-  OsPageCache& cache = env_->os_cache();
-  for (size_t c = 0; c < cache.num_channels(); ++c) {
-    if (const FaultInjector* inj = cache.channel_fault_injector(c)) {
-      brownouts += inj->stats().injected_brownout_reads;
-    }
-  }
-  robustness_.injected_brownout_reads = brownouts;
-  if (ChannelHealthTracker* health = env_->channel_health()) {
-    const ChannelHealthCounters c = health->counters();
-    robustness_.hedged_reads = c.hedges_issued;
-    robustness_.hedge_wins = c.hedges_won;
-    robustness_.hedge_wasted = c.hedges_wasted;
-    robustness_.hedge_denied_budget = c.hedges_denied_budget;
-  }
-  if (ChannelBreakerBoard* board = env_->channel_breakers()) {
-    const ChannelBreakerStats s = board->stats();
-    robustness_.channel_quarantines = s.quarantines + s.requarantines;
-    robustness_.channel_probes = s.probes;
-    robustness_.channel_reinstatements = s.reinstatements;
-  }
-}
-
-void PythiaSystem::HarvestWatchdogStats() {
-  robustness_.watchdog_demotions = 0;
-  robustness_.watchdog_probes = 0;
-  robustness_.watchdog_reinstatements = 0;
-  robustness_.watchdog_degraded_queries = 0;
-  for (const auto& entry : entries_) {
-    const WatchdogStats& ws = entry->watchdog.stats();
-    robustness_.watchdog_demotions += ws.demotions;
-    robustness_.watchdog_probes += ws.probes;
-    robustness_.watchdog_reinstatements += ws.reinstatements;
-    robustness_.watchdog_degraded_queries += ws.degraded_queries;
-  }
-}
-
 WorkloadModel* PythiaSystem::MatchWorkload(const WorkloadQuery& query) {
   WorkloadModel* best = nullptr;
   double best_score = match_threshold_;
@@ -270,7 +220,6 @@ DegradationRung PythiaSystem::PlanRung(const WorkloadQuery& query,
   if (mode != RunMode::kDefault && !breaker_.AllowPrefetch()) {
     rung = MaxRung(rung, kBreakerDegradedRung);
     metrics->degraded_by_breaker = true;
-    ++robustness_.degraded_queries;
     PYTHIA_TRACE_INSTANT("system", "degraded.breaker", 0);
   }
   // The watchdog guards model quality, so it only gates the learned mode —
@@ -314,29 +263,21 @@ ConcurrentQuery PythiaSystem::PlanConcurrentQuery(
   return cq;
 }
 
+void PythiaSystem::AddSessionSums(const PrefetchSessionStats& s) {
+  robustness_.dropped_prefetches += s.dropped_faulty;
+  robustness_.corrupt_prefetch_drops += s.dropped_corrupt;
+  robustness_.shed_prefetches += s.rejected_by_pool;
+  robustness_.timed_out_prefetches += s.timed_out;
+  robustness_.brownout_dropped_prefetches += s.dropped_brownout;
+}
+
 void PythiaSystem::AbsorbConcurrentResult(const ConcurrentResult& result) {
   for (const QueryRunMetrics& m : result.queries) {
-    robustness_.dropped_prefetches += m.prefetch_stats.dropped_faulty;
-    robustness_.corrupt_prefetch_drops += m.prefetch_stats.dropped_corrupt;
-    robustness_.shed_prefetches += m.prefetch_stats.rejected_by_pool;
-    robustness_.timed_out_prefetches += m.prefetch_stats.timed_out;
-    robustness_.brownout_dropped_prefetches +=
-        m.prefetch_stats.dropped_brownout;
+    AddSessionSums(m.prefetch_stats);
     if (m.degraded_by_governor) ++robustness_.governor_degraded_queries;
   }
   robustness_.deadline_stopped_queries += result.admission.deadline_stops;
   robustness_.admission_rejected_queries += result.admission.rejected;
-  robustness_.corrupt_page_reads = env_->os_cache().corrupt_reads();
-  if (FaultInjector* injector = env_->fault_injector()) {
-    robustness_.injected_errors = injector->stats().injected_errors;
-    robustness_.injected_spikes = injector->stats().injected_spikes;
-    robustness_.injected_stalls = injector->stats().injected_stalls;
-    robustness_.injected_bit_flips = injector->stats().injected_bit_flips;
-    robustness_.injected_torn_writes = injector->stats().injected_torn_writes;
-    robustness_.injected_stale_reads = injector->stats().injected_stale_reads;
-  }
-  HarvestGovernorStats();
-  HarvestChannelHealthStats();
 }
 
 QueryRunMetrics PythiaSystem::RunQuery(
@@ -430,26 +371,7 @@ QueryRunMetrics PythiaSystem::RunQuery(
   robustness_.read_retries += replay.pool_stats.read_retries;
   robustness_.corrupt_read_retries += replay.pool_stats.corrupt_retries;
   robustness_.failed_fetches += replay.pool_stats.failed_fetches;
-  robustness_.dropped_prefetches += replay.prefetch_stats.dropped_faulty;
-  robustness_.corrupt_prefetch_drops += replay.prefetch_stats.dropped_corrupt;
-  robustness_.shed_prefetches += replay.prefetch_stats.rejected_by_pool;
-  robustness_.timed_out_prefetches += replay.prefetch_stats.timed_out;
-  robustness_.brownout_dropped_prefetches +=
-      replay.prefetch_stats.dropped_brownout;
-  robustness_.breaker_trips = breaker_.stats().trips;
-  robustness_.breaker_probes = breaker_.stats().probes;
-  robustness_.corrupt_page_reads = env_->os_cache().corrupt_reads();
-  if (FaultInjector* injector = env_->fault_injector()) {
-    robustness_.injected_errors = injector->stats().injected_errors;
-    robustness_.injected_spikes = injector->stats().injected_spikes;
-    robustness_.injected_stalls = injector->stats().injected_stalls;
-    robustness_.injected_bit_flips = injector->stats().injected_bit_flips;
-    robustness_.injected_torn_writes = injector->stats().injected_torn_writes;
-    robustness_.injected_stale_reads = injector->stats().injected_stale_reads;
-  }
-  HarvestWatchdogStats();
-  HarvestGovernorStats();
-  HarvestChannelHealthStats();
+  AddSessionSums(replay.prefetch_stats);
 
   // Mirror the per-query outcome into the process-wide registry, so one
   // snapshot answers "what has this process done so far" across benches and

@@ -81,9 +81,9 @@ class PythiaSystem {
                                       RunMode mode, SimTime arrival_us,
                                       const PrefetcherOptions& options);
 
-  // Folds a finished batch into the robustness counters and the metrics
-  // registry (governor sheds, deadline stops, admission rejections,
-  // per-query degradation flags).
+  // Folds a finished batch into the robustness sums (per-session drops,
+  // sheds and timeouts, governor-degraded queries, deadline stops and
+  // admission rejections).
   void AbsorbConcurrentResult(const ConcurrentResult& result);
 
   // Algorithm 3 line 3: the workload this query belongs to, or nullptr.
@@ -141,8 +141,9 @@ class PythiaSystem {
   // nullptr until EnableGovernor is called (ungoverned — prior behaviour).
   PrefetchGovernor* governor() { return governor_.get(); }
 
-  // Fault-tolerance counters accumulated across every RunQuery call (the
-  // storage-level injection counts come from the environment's injector).
+  // Robustness sums accumulated across every RunQuery and absorbed batch;
+  // the counts other layers own are read from those layers
+  // (util/metrics.h lists them).
   const RobustnessCounters& robustness() const { return robustness_; }
 
   // --- Online adaptation (core/adaptation.h) -----------------------------
@@ -201,18 +202,11 @@ class PythiaSystem {
 
   // Index of the entry owning `model`, or -1.
   int64_t EntryIndex(const WorkloadModel* model) const;
-  // Folds per-model watchdog stats into robustness_.
-  void HarvestWatchdogStats();
-  // Folds the governor's cumulative stats into robustness_.
-  void HarvestGovernorStats();
-  // Folds the gray-failure layer (per-channel brownout injections, hedge
-  // accounting, breaker transitions) into robustness_. No-op fields when the
-  // environment runs without channel health tracking.
-  void HarvestChannelHealthStats();
+  // Adds one session's drops, sheds and timeouts to robustness_.
+  void AddSessionSums(const PrefetchSessionStats& s);
   // The ladder rung a query under `mode` should be planned at right now
   // (governor rung + breaker + watchdog folded via max), with the
-  // degradation flags recorded into `metrics`. Also counts breaker/
-  // watchdog/governor degradations in robustness_.
+  // degradation flags recorded into `metrics`.
   DegradationRung PlanRung(const WorkloadQuery& query, RunMode mode,
                            QueryRunMetrics* metrics, int64_t* watchdog_entry);
 

@@ -15,129 +15,111 @@ const char* ModelHealthName(ModelHealth health) {
   return "unknown";
 }
 
+PredictionWatchdog::PredictionWatchdog(const WatchdogOptions& options)
+    : options_(options),
+      core_({.window = options.window,
+             .min_samples = options.min_samples,
+             .cooldown = options.probation_queries,
+             .required_probe_successes = options.required_probe_successes}) {}
+
 bool PredictionWatchdog::AllowPrediction() {
-  switch (health_) {
-    case ModelHealth::kHealthy:
-      return true;
-    case ModelHealth::kDegraded:
-      ++stats_.degraded_queries;
-      if (probation_remaining_ > 0) --probation_remaining_;
-      if (probation_remaining_ == 0) {
-        health_ = ModelHealth::kProbation;
-        probe_successes_ = 0;
-        MetricsRegistry::Global()
-            .counter("watchdog.transitions.probation")
-            .Increment();
-      }
-      // This query still runs on the baseline; the *next* one may probe.
-      return false;
-    case ModelHealth::kProbation:
-      ++stats_.probes;
-      return true;
+  HysteresisTransition transition = HysteresisTransition::kNone;
+  const bool allowed = core_.Allow(&transition);
+  if (transition == HysteresisTransition::kHalfOpen) {
+    MetricsRegistry::Global()
+        .counter("watchdog.transitions.probation")
+        .Increment();
   }
-  return true;
+  return allowed;
 }
 
 void PredictionWatchdog::Record(uint64_t attempted, uint64_t consumed) {
   if (attempted < options_.min_attempted) return;
   const double ratio = SafeDiv(static_cast<double>(consumed),
                                static_cast<double>(attempted));
-  ++stats_.sessions_judged;
-  switch (health_) {
-    case ModelHealth::kHealthy:
-      window_.push_back(ratio);
-      while (window_.size() > options_.window) window_.pop_front();
-      if (window_.size() >= options_.min_samples &&
-          WindowRatio() < options_.min_useful_ratio) {
-        Demote();
-      }
+  ++sessions_judged_;
+  const double floor = options_.min_useful_ratio;
+  const HysteresisStats& stats = core_.snapshot().stats;
+  switch (core_.Record(ratio, ratio < floor,
+                       [&] { return WindowRatio() < floor; })) {
+    case HysteresisTransition::kTrip:
+      if (post_swap_remaining_ > 0) post_swap_demoted_ = true;
+      MetricsRegistry::Global().counter("watchdog.transitions.demote")
+          .Increment();
+      PYTHIA_TRACE_INSTANT_CTX("watchdog", "demote", "demotions",
+                               stats.trips);
       break;
-    case ModelHealth::kDegraded:
-      // A session that was already running when the model was demoted; its
-      // outcome is moot.
+    case HysteresisTransition::kRecover:
+      MetricsRegistry::Global().counter("watchdog.transitions.reinstate")
+          .Increment();
+      PYTHIA_TRACE_INSTANT_CTX("watchdog", "reinstate", "reinstatements",
+                               stats.recoveries);
       break;
-    case ModelHealth::kProbation:
-      if (ratio < options_.min_useful_ratio) {
-        Demote();
-        break;
-      }
-      if (++probe_successes_ >= options_.required_probe_successes) {
-        health_ = ModelHealth::kHealthy;
-        window_.clear();
-        ++stats_.reinstatements;
-        MetricsRegistry::Global()
-            .counter("watchdog.transitions.reinstate")
-            .Increment();
-        PYTHIA_TRACE_INSTANT_CTX("watchdog", "reinstate", "reinstatements",
-                                 stats_.reinstatements);
-      }
+    default:
       break;
   }
-  // The post-swap probation window counts judged sessions; a Demote() above
+  // The post-swap probation window counts judged sessions; a demotion above
   // saw it still open and latched post_swap_demoted_.
   if (post_swap_remaining_ > 0) --post_swap_remaining_;
 }
 
 double PredictionWatchdog::WindowRatio() const {
-  if (window_.empty()) return 0.0;
+  const auto& window = core_.snapshot().window;
+  if (window.empty()) return 0.0;
   double total = 0.0;
-  for (double r : window_) total += r;
-  return total / static_cast<double>(window_.size());
+  for (double r : window) total += r;
+  return total / static_cast<double>(window.size());
 }
 
-void PredictionWatchdog::Demote() {
-  health_ = ModelHealth::kDegraded;
-  probation_remaining_ = options_.probation_queries;
-  window_.clear();
-  probe_successes_ = 0;
-  ++stats_.demotions;
-  if (post_swap_remaining_ > 0) post_swap_demoted_ = true;
-  MetricsRegistry::Global().counter("watchdog.transitions.demote").Increment();
-  PYTHIA_TRACE_INSTANT_CTX("watchdog", "demote", "demotions",
-                           stats_.demotions);
+WatchdogStats PredictionWatchdog::stats() const {
+  const HysteresisStats& s = core_.snapshot().stats;
+  return {.demotions = s.trips,
+          .probes = s.probes,
+          .reinstatements = s.recoveries,
+          .degraded_queries = s.rejected,
+          .sessions_judged = sessions_judged_};
 }
 
 void PredictionWatchdog::RestartForNewModel(size_t probation_sessions) {
-  health_ = ModelHealth::kHealthy;
-  window_.clear();
-  probation_remaining_ = 0;
-  probe_successes_ = 0;
+  core_.Restart();
   post_swap_remaining_ = probation_sessions;
   post_swap_demoted_ = false;
 }
 
 WatchdogCheckpointState PredictionWatchdog::CheckpointState() const {
+  const auto& m = core_.snapshot();
   WatchdogCheckpointState state;
-  state.health = static_cast<uint32_t>(health_);
-  state.window.assign(window_.begin(), window_.end());
-  state.probation_remaining = probation_remaining_;
-  state.probe_successes = probe_successes_;
+  state.health = static_cast<uint32_t>(m.state);
+  state.window.assign(m.window.begin(), m.window.end());
+  state.probation_remaining = m.cooldown_remaining;
+  state.probe_successes = m.probe_successes;
   state.post_swap_remaining = post_swap_remaining_;
   state.post_swap_demoted = post_swap_demoted_;
-  state.stats = stats_;
+  state.stats = stats();
   return state;
 }
 
 void PredictionWatchdog::RestoreCheckpointState(
     const WatchdogCheckpointState& state) {
-  health_ = static_cast<ModelHealth>(state.health);
-  window_.assign(state.window.begin(), state.window.end());
-  while (window_.size() > options_.window) window_.pop_front();
-  probation_remaining_ = state.probation_remaining;
-  probe_successes_ = state.probe_successes;
+  const WatchdogStats& s = state.stats;
+  core_.Restore({.state = static_cast<HysteresisState>(state.health),
+                 .window = {state.window.begin(), state.window.end()},
+                 .cooldown_remaining = state.probation_remaining,
+                 .probe_successes = state.probe_successes,
+                 .stats = {.trips = s.demotions,
+                           .probes = s.probes,
+                           .rejected = s.degraded_queries,
+                           .recoveries = s.reinstatements}});
+  sessions_judged_ = s.sessions_judged;
   post_swap_remaining_ = state.post_swap_remaining;
   post_swap_demoted_ = state.post_swap_demoted;
-  stats_ = state.stats;
 }
 
 void PredictionWatchdog::Reset() {
-  health_ = ModelHealth::kHealthy;
-  window_.clear();
-  probation_remaining_ = 0;
-  probe_successes_ = 0;
+  core_.Restore({});
+  sessions_judged_ = 0;
   post_swap_remaining_ = 0;
   post_swap_demoted_ = false;
-  stats_ = WatchdogStats();
 }
 
 }  // namespace pythia

@@ -19,20 +19,29 @@
 //    useless probe demotes it again for a fresh probation period.
 //
 // One watchdog instance guards one model; PythiaSystem owns one per
-// registered workload and exposes all state through RobustnessCounters.
+// registered workload and exposes it as PythiaSystem::watchdog(i). The
+// machine itself is the shared core in core/hysteresis.h; this adapter
+// supplies the useful-ratio judgement, the session filter, the post-swap
+// latch, the checkpoint state and the trace/registry transitions.
 #ifndef PYTHIA_CORE_WATCHDOG_H_
 #define PYTHIA_CORE_WATCHDOG_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <vector>
 
+#include "core/hysteresis.h"
 #include "core/query_metrics.h"
 
 namespace pythia {
 
 enum class ModelHealth { kHealthy, kDegraded, kProbation };
+static_assert(static_cast<int>(ModelHealth::kHealthy) ==
+                  static_cast<int>(HysteresisState::kClosed) &&
+              static_cast<int>(ModelHealth::kDegraded) ==
+                  static_cast<int>(HysteresisState::kOpen) &&
+              static_cast<int>(ModelHealth::kProbation) ==
+                  static_cast<int>(HysteresisState::kHalfOpen));
 
 // Where a demoted model sits on the graceful-degradation ladder
 // (core/query_metrics.h): its queries run on the sequential-readahead
@@ -77,8 +86,7 @@ struct WatchdogCheckpointState {
 class PredictionWatchdog {
  public:
   explicit PredictionWatchdog(const WatchdogOptions& options =
-                                  WatchdogOptions())
-      : options_(options) {}
+                                  WatchdogOptions());
 
   // Called before each query that matched this model: may its predictions
   // be used? Counts probation while degraded and admits probes after it.
@@ -92,8 +100,10 @@ class PredictionWatchdog {
   // Mean useful-prefetch ratio over the current window (0 when empty).
   double WindowRatio() const;
 
-  ModelHealth health() const { return health_; }
-  const WatchdogStats& stats() const { return stats_; }
+  ModelHealth health() const {
+    return static_cast<ModelHealth>(core_.snapshot().state);
+  }
+  WatchdogStats stats() const;
   const WatchdogOptions& options() const { return options_; }
 
   void Reset();
@@ -102,10 +112,10 @@ class PredictionWatchdog {
 
   // Called when the guarded model is hot-swapped: the window and health
   // describe the *outgoing* model, so they restart clean for the incoming
-  // one (cumulative stats are kept — they feed RobustnessCounters). When
-  // `probation_sessions > 0`, the next that many judged sessions form a
-  // post-swap probation window: a demotion inside it latches
-  // post_swap_demoted(), the signal the adaptation manager rolls back on.
+  // one (cumulative stats are kept). When `probation_sessions > 0`, the
+  // next that many judged sessions form a post-swap probation window: a
+  // demotion inside it latches post_swap_demoted(), the signal the
+  // adaptation manager rolls back on.
   void RestartForNewModel(size_t probation_sessions);
 
   // True when a demotion happened inside the post-swap probation window.
@@ -120,18 +130,13 @@ class PredictionWatchdog {
   void RestoreCheckpointState(const WatchdogCheckpointState& state);
 
  private:
-  void Demote();
-
   WatchdogOptions options_;
-  ModelHealth health_ = ModelHealth::kHealthy;
-  std::deque<double> window_;  // per-session useful ratios
-  size_t probation_remaining_ = 0;
-  size_t probe_successes_ = 0;
+  Hysteresis<double> core_;  // samples: per-session useful ratios
+  uint64_t sessions_judged_ = 0;
   // Post-swap probation: judged sessions left in the window, and whether a
   // demotion fired inside it (core/adaptation.h rolls back on the latter).
   size_t post_swap_remaining_ = 0;
   bool post_swap_demoted_ = false;
-  WatchdogStats stats_;
 };
 
 }  // namespace pythia

@@ -103,8 +103,11 @@ void MetricsRegistry::ResetAll() {
 }
 
 MetricsRegistry& MetricsRegistry::Global() {
-  static MetricsRegistry registry;
-  return registry;
+  // Leaked on purpose, like ThreadPool::Global()'s pool: its workers record
+  // into the registry until process exit, so it must never be destroyed
+  // under them by static destruction.
+  static MetricsRegistry* registry = new MetricsRegistry();
+  return *registry;
 }
 
 ModelIntegrityCounters ModelIntegritySnapshot() {

@@ -2,6 +2,9 @@
 
 #include <cstdio>
 #include <fstream>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "core/baselines.h"
 #include "core/circuit_breaker.h"
@@ -10,8 +13,10 @@
 #include "core/watchdog.h"
 #include "storage/fault_injector.h"
 #include "storage/sim_disk.h"
+#include "util/hash.h"
 #include "util/metrics.h"
 #include "util/metrics_registry.h"
+#include "util/rng.h"
 
 namespace pythia {
 namespace {
@@ -878,6 +883,197 @@ TEST(CircuitBreakerTest, UnhealthyProbeReopens) {
   breaker.Record(false);  // probe fails
   EXPECT_EQ(breaker.state(), BreakerState::kOpen);
   EXPECT_EQ(breaker.stats().trips, 2u);
+}
+
+
+// --- Golden transcripts of the breaker and watchdog machines --------------
+//
+// Each option set drives a CircuitBreaker or PredictionWatchdog through a
+// seeded sequence of Allow/Record steps whose bad-sample rate drifts between
+// phases, so every transition fires many times. Every return value, the
+// state and the stats after each step (for the watchdog also its full
+// checkpoint state, the post-swap latch and the registry transition
+// counters) fold into one FNV digest per option set. The constants were
+// recorded from the breaker and the watchdog before they shared
+// core/hysteresis.h; any change to their behaviour changes a digest.
+
+constexpr int kGoldenSteps = 2000;
+
+// Bad-sample probability of the current phase; phases last 40-119 steps.
+class DriftingFaultRate {
+ public:
+  double Next(Pcg32* rng) {
+    static constexpr double kRates[] = {0.05, 0.5, 0.9, 0.2};
+    if (left_-- <= 0) {
+      rate_ = kRates[rng->UniformU32(4)];
+      left_ = 40 + static_cast<int>(rng->UniformU32(80));
+    }
+    return rate_;
+  }
+
+ private:
+  double rate_ = 0.0;
+  int left_ = 0;
+};
+
+// The digest, plus which transitions the sequence went through, so a
+// transcript that never leaves the closed state cannot pass unnoticed.
+struct Transcript {
+  uint64_t digest = kFnvOffsetBasis;
+  uint32_t moves = 0;  // bit (from * 3 + to) per state change seen
+  bool post_swap_latched = false;
+
+  void Move(uint32_t from, uint32_t to) {
+    if (from != to) moves |= 1u << (from * 3 + to);
+  }
+};
+
+// closed->open, open->half-open, half-open->closed, half-open->open.
+constexpr uint32_t kEveryMove = (1u << 1) | (1u << 5) | (1u << 6) | (1u << 7);
+
+Transcript BreakerTranscript(const CircuitBreakerOptions& options,
+                             uint64_t seed) {
+  Pcg32 rng(seed);
+  DriftingFaultRate fault_rate;
+  CircuitBreaker breaker(options);
+  Transcript t;
+  uint64_t& h = t.digest;
+  for (int step = 0; step < kGoldenSteps; ++step) {
+    const double bad = fault_rate.Next(&rng);
+    const auto before = static_cast<uint32_t>(breaker.state());
+    if (rng.UniformU32(100) < 45) {
+      h = FnvPod(h, breaker.AllowPrefetch());
+    } else {
+      breaker.Record(rng.UniformDouble() >= bad);
+    }
+    t.Move(before, static_cast<uint32_t>(breaker.state()));
+    if (step == kGoldenSteps * 3 / 4) breaker.Reset();
+    h = FnvPod(h, static_cast<uint32_t>(breaker.state()));
+    const CircuitBreakerStats& s = breaker.stats();
+    h = FnvPod(h, s.trips);
+    h = FnvPod(h, s.probes);
+    h = FnvPod(h, s.rejected);
+    h = FnvPod(h, s.recoveries);
+  }
+  return t;
+}
+
+uint64_t FoldWatchdogState(uint64_t h, const WatchdogCheckpointState& st) {
+  h = FnvPod(h, st.health);
+  h = FnvPod(h, static_cast<uint64_t>(st.window.size()));
+  for (double r : st.window) h = FnvPod(h, r);
+  h = FnvPod(h, st.probation_remaining);
+  h = FnvPod(h, st.probe_successes);
+  h = FnvPod(h, st.post_swap_remaining);
+  h = FnvPod(h, st.post_swap_demoted);
+  h = FnvPod(h, st.stats.demotions);
+  h = FnvPod(h, st.stats.probes);
+  h = FnvPod(h, st.stats.reinstatements);
+  h = FnvPod(h, st.stats.degraded_queries);
+  h = FnvPod(h, st.stats.sessions_judged);
+  return h;
+}
+
+Transcript WatchdogTranscript(const WatchdogOptions& options, uint64_t seed) {
+  MetricsRegistry& reg = MetricsRegistry::Global();
+  Counter* transitions[] = {&reg.counter("watchdog.transitions.demote"),
+                            &reg.counter("watchdog.transitions.probation"),
+                            &reg.counter("watchdog.transitions.reinstate")};
+  uint64_t base[3];
+  for (int i = 0; i < 3; ++i) base[i] = transitions[i]->value();
+
+  Pcg32 rng(seed);
+  DriftingFaultRate fault_rate;
+  auto dog = std::make_unique<PredictionWatchdog>(options);
+  Transcript t;
+  uint64_t& h = t.digest;
+  for (int step = 0; step < kGoldenSteps; ++step) {
+    const double bad = fault_rate.Next(&rng);
+    const auto before = static_cast<uint32_t>(dog->health());
+    const uint32_t op = rng.UniformU32(200);
+    if (op < 90) {
+      h = FnvPod(h, dog->AllowPrediction());
+    } else if (op < 197) {
+      // One session in five is below the default min_attempted of 8.
+      const uint32_t attempted = rng.UniformU32(40);
+      const uint32_t consumed =
+          rng.UniformDouble() >= bad
+              ? attempted / 2 + rng.UniformU32(attempted / 2 + 1)
+              : rng.UniformU32(attempted / 5 + 1);
+      dog->Record(attempted, consumed);
+    } else {
+      dog->RestartForNewModel(rng.UniformU32(6));
+    }
+    t.Move(before, static_cast<uint32_t>(dog->health()));
+    t.post_swap_latched |= dog->post_swap_demoted();
+    if (step == kGoldenSteps / 2) {
+      // A warm restart mid-sequence: the restored watchdog carries on.
+      const WatchdogCheckpointState saved = dog->CheckpointState();
+      dog = std::make_unique<PredictionWatchdog>(options);
+      dog->RestoreCheckpointState(saved);
+    }
+    if (step == kGoldenSteps * 3 / 4) dog->Reset();
+    h = FoldWatchdogState(h, dog->CheckpointState());
+    h = FnvPod(h, dog->WindowRatio());
+    h = FnvPod(h, static_cast<uint32_t>(dog->health()));
+    h = FnvPod(h, dog->post_swap_demoted());
+    h = FnvPod(h, dog->post_swap_probation_active());
+    for (int i = 0; i < 3; ++i) {
+      h = FnvPod(h, transitions[i]->value() - base[i]);
+    }
+  }
+  return t;
+}
+
+std::string Hex(uint64_t v) {
+  char buf[24];
+  std::snprintf(buf, sizeof(buf), "0x%016llx",
+                static_cast<unsigned long long>(v));
+  return buf;
+}
+
+TEST(HysteresisGoldenTest, BreakerTranscripts) {
+  std::vector<CircuitBreakerOptions> sets(5);
+  sets[1].cooldown_queries = 0;
+  sets[2].window = 4;
+  sets[2].min_samples = 6;  // more than the window holds: never trips
+  sets[3].required_probe_successes = 1;
+  sets[4].window = 3;
+  sets[4].min_samples = 1;
+  sets[4].failure_threshold = 0.34;
+  sets[4].cooldown_queries = 1;
+  const uint64_t kExpected[] = {
+      0x4f55715fa3e6f516, 0x20111d5014117677, 0x95633f5c75ce93f3,
+      0x2ce1596c1fa53981, 0xfe02400e3c01ba67};
+  for (size_t i = 0; i < sets.size(); ++i) {
+    const Transcript t = BreakerTranscript(sets[i], 0x5eed0 + i);
+    EXPECT_EQ(Hex(t.digest), Hex(kExpected[i])) << "option set " << i;
+    EXPECT_EQ(t.moves, i == 2 ? 0u : kEveryMove) << "option set " << i;
+  }
+}
+
+TEST(HysteresisGoldenTest, WatchdogTranscripts) {
+  std::vector<WatchdogOptions> sets(5);
+  sets[1].probation_queries = 0;
+  sets[2].window = 4;
+  sets[2].min_samples = 6;  // more than the window holds: never demotes
+  sets[3].required_probe_successes = 1;
+  sets[4].window = 3;
+  sets[4].min_samples = 1;
+  sets[4].min_useful_ratio = 0.4;
+  sets[4].min_attempted = 0;  // every session judged, empty ones at 0
+  sets[4].probation_queries = 1;
+  const uint64_t kExpected[] = {
+      0x0151e536171983ad, 0x2b6e9cf44f5b1ba0, 0x6e2cfaf3e3196a42,
+      0x9b47d88ae3d063e1, 0x12ca31ed948f12ba};
+  for (size_t i = 0; i < sets.size(); ++i) {
+    const Transcript t = WatchdogTranscript(sets[i], 0xd06 + i);
+    EXPECT_EQ(Hex(t.digest), Hex(kExpected[i])) << "option set " << i;
+    // RestartForNewModel also moves degraded/probation straight to healthy.
+    EXPECT_EQ(t.moves & kEveryMove, i == 2 ? 0u : kEveryMove)
+        << "option set " << i;
+    EXPECT_EQ(t.post_swap_latched, i != 2) << "option set " << i;
+  }
 }
 
 }  // namespace

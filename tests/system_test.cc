@@ -165,6 +165,7 @@ TEST_F(SystemTest, BreakerDegradesToDefaultAndRecovers) {
   sick.prefetch_timeout_us = 1;
   const WorkloadQuery& q = w91_->queries[w91_->test_indices[0]];
 
+  uint64_t degraded_by_breaker = 0;
   for (int i = 0; i < 8 && system_->breaker().state() == BreakerState::kClosed;
        ++i) {
     const QueryRunMetrics m = system_->RunQuery(q, RunMode::kOracle, sick);
@@ -181,8 +182,10 @@ TEST_F(SystemTest, BreakerDegradesToDefaultAndRecovers) {
     EXPECT_TRUE(m.degraded_by_breaker);
     EXPECT_FALSE(m.engaged);
     EXPECT_EQ(m.prefetch_stats.issued, 0u);
+    degraded_by_breaker += m.degraded_by_breaker ? 1 : 0;
   }
-  EXPECT_EQ(system_->robustness().degraded_queries, 2u);
+  EXPECT_EQ(system_->breaker().stats().rejected, 2u);
+  EXPECT_EQ(degraded_by_breaker, system_->breaker().stats().rejected);
   EXPECT_EQ(system_->breaker().state(), BreakerState::kHalfOpen);
 
   // Half-open: probes run with healthy options and close the breaker.
@@ -253,7 +256,7 @@ TEST_F(SystemTest, GovernorRungDegradesAndRecoversRunQuery) {
   EXPECT_FALSE(degraded.engaged);
   EXPECT_EQ(degraded.prefetch_stats.issued, 0u);
   EXPECT_EQ(system_->robustness().governor_degraded_queries, 1u);
-  EXPECT_GT(system_->robustness().governor_rung_degrades, 0u);
+  EXPECT_GT(governor.stats().rung_degrades, 0u);
 
   // Pressure gone: the ladder climbs back (one rung per evaluation) and
   // full neural service resumes.
